@@ -10,9 +10,9 @@
 //!
 //! Crash semantics: once an address space is crashed (explicitly via
 //! [`FaultPlan::crash`] or by tripping [`FaultPlan::crash_at_packet`]),
-//! its sends fail with [`ClfError::Closed`] and its receive loop
-//! reports [`ClfError::Closed`], so the owning dispatcher exits exactly
-//! as if the process died. Traffic *to* a crashed space is silently
+//! its sends fail with [`ClfError::Closed`], its handler receives
+//! nothing more and its `recv` reports [`ClfError::Closed`], exactly as
+//! if the process died. Traffic *to* a crashed space is silently
 //! dropped, like a network feeding a dead host.
 
 use std::collections::{HashMap, HashSet};
@@ -27,7 +27,7 @@ use dstampede_core::AsId;
 use dstampede_obs::MetricsRegistry;
 
 use crate::error::ClfError;
-use crate::transport::{ClfTransport, TransportStats};
+use crate::transport::{ClfHandler, ClfTransport, TransportStats};
 
 /// How often a crashed endpoint's blocked `recv` re-checks the plan.
 const CRASH_POLL: Duration = Duration::from_millis(20);
@@ -302,6 +302,29 @@ impl FaultTransport {
     }
 }
 
+/// Silences a crashed space's handler: whatever still reaches its
+/// endpoint after the crash is never processed.
+struct CrashGate {
+    inner: Arc<dyn ClfHandler>,
+    plan: Arc<FaultPlan>,
+    local: AsId,
+}
+
+impl ClfHandler for CrashGate {
+    fn on_message(&self, from: AsId, msg: Bytes) {
+        if !self.plan.is_crashed(self.local) {
+            self.inner.on_message(from, msg);
+        }
+    }
+
+    fn on_tick(&self) -> Option<Duration> {
+        if self.plan.is_crashed(self.local) {
+            return None;
+        }
+        self.inner.on_tick()
+    }
+}
+
 impl ClfTransport for FaultTransport {
     fn local(&self) -> AsId {
         self.inner.local()
@@ -339,6 +362,14 @@ impl ClfTransport for FaultTransport {
                 Ok(())
             }
         }
+    }
+
+    fn set_handler(&self, handler: Arc<dyn ClfHandler>) {
+        self.inner.set_handler(Arc::new(CrashGate {
+            inner: handler,
+            plan: Arc::clone(&self.plan),
+            local: self.local(),
+        }));
     }
 
     fn recv(&self) -> Result<(AsId, Bytes), ClfError> {

@@ -54,6 +54,6 @@ pub use fault::{FaultPlan, FaultStats, FaultTransport, FaultVerdict};
 pub use mem::{MemEndpoint, MemFabric};
 pub use shaping::{NetProfile, Pacer, ShapedStream, ShapedTransport, TokenBucket};
 pub use stream::{duplex, tcp_connect, tcp_listen_loopback, PipeEnd};
-pub use transport::{ClfTransport, TransportStats};
+pub use transport::{ClfHandler, ClfTransport, TransportStats};
 pub use udp::{udp_mesh, LossInjection, UdpConfig, UdpEndpoint};
 pub use window::{RecvWindow, RttEstimator, SendWindow};

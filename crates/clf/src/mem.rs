@@ -4,6 +4,8 @@
 //! through unbounded lock-free channels: reliable, ordered, and never
 //! blocking the sender — CLF's contract comes for free. This is the
 //! fast path the paper gets from shared memory inside one SMP node.
+//! Each endpoint runs one receive thread that drains its channel into
+//! the installed [`ClfHandler`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -12,16 +14,19 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::RwLock;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::{Mutex, RwLock};
 
 use dstampede_core::AsId;
 use dstampede_obs::MetricsRegistry;
 
 use crate::error::ClfError;
-use crate::transport::{ClfTransport, StatCounters, TransportStats};
+use crate::transport::{ClfHandler, ClfTransport, Delivery, StatCounters, TransportStats};
 
 type Wire = (AsId, Bytes);
+
+/// How long the receive thread blocks before re-checking for shutdown.
+const RECV_POLL: Duration = Duration::from_millis(50);
 
 /// A fabric connecting in-process address spaces.
 ///
@@ -55,20 +60,38 @@ impl MemFabric {
         MemFabric::default()
     }
 
-    /// Creates (or replaces) the endpoint for an address space.
+    /// Creates (or replaces) the endpoint for an address space and
+    /// starts its receive thread.
     ///
     /// Replacing an endpoint disconnects the old one's inbox from the
     /// fabric, which models an address space restarting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the receive thread cannot be spawned.
     #[must_use]
     pub fn endpoint(&self, as_id: AsId) -> Arc<MemEndpoint> {
         let (tx, rx) = unbounded();
         self.peers.write().insert(as_id, tx);
+        let delivery = Arc::new(Delivery::new());
+        let stats = Arc::new(StatCounters::default());
+        let closed = Arc::new(AtomicBool::new(false));
+        let (d, st, c) = (
+            Arc::clone(&delivery),
+            Arc::clone(&stats),
+            Arc::clone(&closed),
+        );
+        let thread = std::thread::Builder::new()
+            .name(format!("clf-mem-{}", as_id.0))
+            .spawn(move || receive_loop(&rx, &d, &st, &c))
+            .expect("spawning the CLF receive thread failed");
         Arc::new(MemEndpoint {
             local: as_id,
             fabric: self.clone(),
-            inbox: rx,
-            stats: StatCounters::default(),
-            closed: AtomicBool::new(false),
+            delivery,
+            stats,
+            closed,
+            thread: Mutex::new(Some(thread)),
         })
     }
 
@@ -94,13 +117,36 @@ impl fmt::Debug for MemFabric {
     }
 }
 
+/// Drains one endpoint's fabric channel into its handler until the
+/// endpoint closes or the fabric disconnects it (a replacement endpoint
+/// took its id, which closes this one).
+fn receive_loop(
+    rx: &Receiver<Wire>,
+    delivery: &Delivery,
+    stats: &StatCounters,
+    closed: &AtomicBool,
+) {
+    while !closed.load(Ordering::Acquire) {
+        let wait = delivery.tick().map_or(RECV_POLL, |d| d.min(RECV_POLL));
+        match rx.recv_timeout(wait) {
+            Ok((from, msg)) => {
+                stats.note_received(msg.len());
+                delivery.deliver(from, msg);
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => closed.store(true, Ordering::Release),
+        }
+    }
+}
+
 /// One address space's endpoint on a [`MemFabric`].
 pub struct MemEndpoint {
     local: AsId,
     fabric: MemFabric,
-    inbox: Receiver<Wire>,
-    stats: StatCounters,
-    closed: AtomicBool,
+    delivery: Arc<Delivery>,
+    stats: Arc<StatCounters>,
+    closed: Arc<AtomicBool>,
+    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl MemEndpoint {
@@ -129,46 +175,20 @@ impl ClfTransport for MemEndpoint {
         Ok(())
     }
 
+    fn set_handler(&self, handler: Arc<dyn ClfHandler>) {
+        self.delivery.install(handler);
+    }
+
     fn recv(&self) -> Result<(AsId, Bytes), ClfError> {
-        self.check_open()?;
-        // A bounded wait loop so shutdown() eventually wakes us.
-        loop {
-            match self.inbox.recv_timeout(Duration::from_millis(50)) {
-                Ok((from, msg)) => {
-                    self.stats.note_received(msg.len());
-                    return Ok((from, msg));
-                }
-                Err(RecvTimeoutError::Timeout) => self.check_open()?,
-                Err(RecvTimeoutError::Disconnected) => return Err(ClfError::Closed),
-            }
-        }
+        self.delivery.recv(&self.closed)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(AsId, Bytes), ClfError> {
-        self.check_open()?;
-        match self.inbox.recv_timeout(timeout) {
-            Ok((from, msg)) => {
-                self.stats.note_received(msg.len());
-                Ok((from, msg))
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                self.check_open()?;
-                Err(ClfError::Timeout)
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(ClfError::Closed),
-        }
+        self.delivery.recv_timeout(&self.closed, timeout)
     }
 
     fn try_recv(&self) -> Result<(AsId, Bytes), ClfError> {
-        self.check_open()?;
-        match self.inbox.try_recv() {
-            Ok((from, msg)) => {
-                self.stats.note_received(msg.len());
-                Ok((from, msg))
-            }
-            Err(TryRecvError::Empty) => Err(ClfError::Empty),
-            Err(TryRecvError::Disconnected) => Err(ClfError::Closed),
-        }
+        self.delivery.try_recv(&self.closed)
     }
 
     fn stats(&self) -> TransportStats {
@@ -181,7 +201,22 @@ impl ClfTransport for MemEndpoint {
 
     fn shutdown(&self) {
         self.closed.store(true, Ordering::Release);
+        // Dropping the fabric's sender wakes the receive thread at once.
         self.fabric.remove(self.local);
+        if let Some(h) = self.thread.lock().take() {
+            // Shutdown may run on the receive thread itself (a handler
+            // reacting to a message); it exits on its next pass.
+            if h.thread().id() != std::thread::current().id() {
+                let _ = h.join();
+            }
+        }
+    }
+}
+
+impl Drop for MemEndpoint {
+    fn drop(&mut self) {
+        // The receive thread notices within one poll and exits.
+        self.closed.store(true, Ordering::Release);
     }
 }
 
@@ -313,6 +348,32 @@ mod tests {
             old_b.recv_timeout(Duration::from_millis(30)).unwrap_err(),
             ClfError::Closed
         );
+    }
+
+    #[test]
+    fn installed_handler_takes_queued_then_live_messages_in_order() {
+        struct Collect(parking_lot::Mutex<Vec<u8>>);
+        impl ClfHandler for Collect {
+            fn on_message(&self, _from: AsId, msg: Bytes) {
+                self.0.lock().push(msg[0]);
+            }
+        }
+        let fabric = MemFabric::new();
+        let a = fabric.endpoint(AsId(0));
+        let b = fabric.endpoint(AsId(1));
+        a.send(AsId(1), Bytes::from_static(&[1])).unwrap();
+        a.send(AsId(1), Bytes::from_static(&[2])).unwrap();
+        // Let the receive thread queue both in the default inbox.
+        thread::sleep(Duration::from_millis(20));
+        let seen = Arc::new(Collect(parking_lot::Mutex::new(Vec::new())));
+        b.set_handler(Arc::clone(&seen) as Arc<dyn ClfHandler>);
+        a.send(AsId(1), Bytes::from_static(&[3])).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while seen.0.lock().len() < 3 && std::time::Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(*seen.0.lock(), vec![1, 2, 3]);
+        assert_eq!(b.try_recv().unwrap_err(), ClfError::Closed);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use dstampede_core::AsId;
 use dstampede_obs::{Counter, MetricsRegistry};
 
 use crate::error::ClfError;
-use crate::transport::{ClfTransport, TransportStats};
+use crate::transport::{ClfHandler, ClfTransport, TransportStats};
 
 /// Sleeps for `d` with sub-millisecond precision: the bulk of the wait
 /// uses the OS sleep, the tail spins. Shaping sleeps are in the tens of
@@ -219,9 +219,9 @@ impl Pacer {
 /// A [`ClfTransport`] wrapper imposing a [`NetProfile`].
 ///
 /// Bandwidth is charged on `send` (egress shaping); latency is added on
-/// delivery. Per-message latency is approximated by sleeping in `recv`,
-/// which is exact for request/reply traffic and conservative for pipelined
-/// streams.
+/// delivery. Per-message latency is approximated by sleeping on the
+/// receive path (the handler's receive thread, or `recv`), which is exact
+/// for request/reply traffic and conservative for pipelined streams.
 pub struct ShapedTransport {
     inner: Arc<dyn ClfTransport>,
     profile: NetProfile,
@@ -260,6 +260,23 @@ impl ShapedTransport {
     }
 }
 
+/// Charges a link's one-way latency before each delivery.
+struct DelayedHandler {
+    inner: Arc<dyn ClfHandler>,
+    latency: Duration,
+}
+
+impl ClfHandler for DelayedHandler {
+    fn on_message(&self, from: AsId, msg: Bytes) {
+        precise_sleep(self.latency);
+        self.inner.on_message(from, msg);
+    }
+
+    fn on_tick(&self) -> Option<Duration> {
+        self.inner.on_tick()
+    }
+}
+
 impl ClfTransport for ShapedTransport {
     fn local(&self) -> AsId {
         self.inner.local()
@@ -286,6 +303,18 @@ impl ClfTransport for ShapedTransport {
             bytes.add(total as u64);
         }
         self.inner.send_segments(dst, segments)
+    }
+
+    fn set_handler(&self, handler: Arc<dyn ClfHandler>) {
+        let handler = if self.profile.latency.is_zero() {
+            handler
+        } else {
+            Arc::new(DelayedHandler {
+                inner: handler,
+                latency: self.profile.latency,
+            })
+        };
+        self.inner.set_handler(handler);
     }
 
     fn recv(&self) -> Result<(AsId, Bytes), ClfError> {

@@ -10,23 +10,158 @@
 //! sockets ([`crate::udp`], the "UDP over a LAN" case).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use parking_lot::RwLock;
 
 use dstampede_core::AsId;
 use dstampede_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::error::ClfError;
 
+/// Receives the messages an endpoint delivers, on the endpoint's own
+/// receive thread (see [`ClfTransport::set_handler`]).
+///
+/// Calls are never concurrent, and messages from one sender arrive in
+/// send order. Messages queued before the handler was installed are
+/// handed over on the installing thread; everything else arrives on the
+/// receive thread. A handler must never block on traffic the same
+/// endpoint has yet to receive — a reply to its own RPC, say — because
+/// nothing else drains the endpoint while it waits.
+pub trait ClfHandler: Send + Sync {
+    /// Handles one delivered message.
+    fn on_message(&self, from: AsId, msg: Bytes);
+
+    /// Runs the handler's due timed work. Called on every pass of the
+    /// receive loop; the return value bounds how long the loop may block
+    /// before the next call (`None`: nothing is scheduled).
+    fn on_tick(&self) -> Option<Duration> {
+        None
+    }
+}
+
+/// The default handler: queues messages for [`ClfTransport::recv`].
+struct InboxHandler(Sender<(AsId, Bytes)>);
+
+impl ClfHandler for InboxHandler {
+    fn on_message(&self, from: AsId, msg: Bytes) {
+        let _ = self.0.send((from, msg));
+    }
+}
+
+/// A backend's single delivery path: its receive thread hands every
+/// message to the installed [`ClfHandler`]. Until one is installed the
+/// handler is an inbox feeding `recv`/`recv_timeout`/`try_recv`, which
+/// is how bare endpoints (tests, benches) read their traffic.
+///
+/// The receive thread calls the handler under a read lock, so
+/// [`Delivery::install`] cannot slip between a message and the handler
+/// it was meant for.
+pub(crate) struct Delivery {
+    handler: RwLock<Arc<dyn ClfHandler>>,
+    inbox: Receiver<(AsId, Bytes)>,
+}
+
+impl Delivery {
+    pub(crate) fn new() -> Delivery {
+        let (tx, inbox) = unbounded();
+        Delivery {
+            handler: RwLock::new(Arc::new(InboxHandler(tx))),
+            inbox,
+        }
+    }
+
+    /// Hands `msgs` (drained) to the handler, in order.
+    pub(crate) fn deliver_all(&self, msgs: &mut Vec<(AsId, Bytes)>) {
+        if msgs.is_empty() {
+            return;
+        }
+        let handler = self.handler.read();
+        for (from, msg) in msgs.drain(..) {
+            handler.on_message(from, msg);
+        }
+    }
+
+    /// Hands one message to the handler.
+    pub(crate) fn deliver(&self, from: AsId, msg: Bytes) {
+        self.handler.read().on_message(from, msg);
+    }
+
+    /// Runs the handler's timed work; see [`ClfHandler::on_tick`].
+    pub(crate) fn tick(&self) -> Option<Duration> {
+        self.handler.read().on_tick()
+    }
+
+    /// Installs `handler`. Messages already queued in the inbox are
+    /// handed over first, with the receive thread held off, so per-sender
+    /// order survives the switch. The inbox sender drops with the old
+    /// handler: `recv` reports [`ClfError::Closed`] from then on.
+    pub(crate) fn install(&self, handler: Arc<dyn ClfHandler>) {
+        let mut slot = self.handler.write();
+        while let Ok((from, msg)) = self.inbox.try_recv() {
+            handler.on_message(from, msg);
+        }
+        *slot = handler;
+    }
+
+    pub(crate) fn recv(&self, closed: &AtomicBool) -> Result<(AsId, Bytes), ClfError> {
+        // A bounded wait loop so shutdown eventually wakes the caller.
+        loop {
+            match self.recv_timeout(closed, Duration::from_millis(50)) {
+                Err(ClfError::Timeout) => {}
+                other => return other,
+            }
+        }
+    }
+
+    pub(crate) fn recv_timeout(
+        &self,
+        closed: &AtomicBool,
+        timeout: Duration,
+    ) -> Result<(AsId, Bytes), ClfError> {
+        if closed.load(Ordering::Acquire) {
+            return Err(ClfError::Closed);
+        }
+        match self.inbox.recv_timeout(timeout) {
+            Ok(m) => Ok(m),
+            Err(RecvTimeoutError::Timeout) if closed.load(Ordering::Acquire) => {
+                Err(ClfError::Closed)
+            }
+            Err(RecvTimeoutError::Timeout) => Err(ClfError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(ClfError::Closed),
+        }
+    }
+
+    pub(crate) fn try_recv(&self, closed: &AtomicBool) -> Result<(AsId, Bytes), ClfError> {
+        if closed.load(Ordering::Acquire) {
+            return Err(ClfError::Closed);
+        }
+        match self.inbox.try_recv() {
+            Ok(m) => Ok(m),
+            Err(TryRecvError::Empty) => Err(ClfError::Empty),
+            Err(TryRecvError::Disconnected) => Err(ClfError::Closed),
+        }
+    }
+}
+
+impl fmt::Debug for Delivery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Delivery")
+            .field("queued", &self.inbox.len())
+            .finish()
+    }
+}
+
 /// Monotonic counters describing an endpoint's traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransportStats {
     /// Messages sent.
     pub msgs_sent: u64,
-    /// Messages delivered to `recv`.
+    /// Messages delivered (to the handler, or to `recv`).
     pub msgs_received: u64,
     /// Payload bytes sent.
     pub bytes_sent: u64,
@@ -286,7 +421,14 @@ pub trait ClfTransport: Send + Sync + fmt::Debug {
         }
     }
 
-    /// Blocks until the next message arrives.
+    /// Installs the handler the endpoint's receive thread calls for
+    /// every delivered message, in place of the default inbox behind
+    /// [`ClfTransport::recv`]. Messages already queued in that inbox go
+    /// to the new handler first; afterwards `recv` and its variants
+    /// report [`ClfError::Closed`].
+    fn set_handler(&self, handler: Arc<dyn ClfHandler>);
+
+    /// Blocks until the next message arrives (default handler only).
     ///
     /// # Errors
     ///

@@ -66,7 +66,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use dstampede_core::AsId;
@@ -77,7 +76,7 @@ use dstampede_wire::{Codec, SackInfo, XdrCodec};
 
 use crate::error::ClfError;
 use crate::shaping::Pacer;
-use crate::transport::{ClfTransport, StatCounters, TransportStats};
+use crate::transport::{ClfHandler, ClfTransport, Delivery, StatCounters, TransportStats};
 use crate::udp_sys::{self, OutDatagram};
 use crate::window::{RecvWindow, SendWindow, MIN_RTO};
 
@@ -386,7 +385,7 @@ pub struct UdpEndpoint {
     socket: UdpSocket,
     config: UdpConfig,
     shared: Arc<Mutex<Shared>>,
-    inbox: Receiver<(AsId, Bytes)>,
+    delivery: Arc<Delivery>,
     stats: Arc<StatCounters>,
     closed: Arc<AtomicBool>,
     pump: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -395,7 +394,9 @@ pub struct UdpEndpoint {
 
 impl UdpEndpoint {
     /// Binds an endpoint on an ephemeral loopback port and starts its
-    /// protocol pump thread.
+    /// protocol pump thread, which is also the endpoint's receive thread:
+    /// it hands completed messages straight to the installed
+    /// [`ClfHandler`].
     ///
     /// # Errors
     ///
@@ -421,13 +422,14 @@ impl UdpEndpoint {
             rx: HashMap::new(),
             sack_disabled: HashSet::new(),
         }));
-        let (deliver_tx, inbox) = unbounded();
+        let delivery = Arc::new(Delivery::new());
         let stats = Arc::new(StatCounters::default());
         let closed = Arc::new(AtomicBool::new(false));
         let loss = Arc::new(Mutex::new(LossState::new(&config)));
 
         let pump_socket = socket.try_clone()?;
         let pump_shared = Arc::clone(&shared);
+        let pump_delivery = Arc::clone(&delivery);
         let pump_stats = Arc::clone(&stats);
         let pump_closed = Arc::clone(&closed);
         let pump_loss = Arc::clone(&loss);
@@ -438,12 +440,12 @@ impl UdpEndpoint {
                     local,
                     socket: &pump_socket,
                     shared: &pump_shared,
-                    deliver: &deliver_tx,
+                    delivery: &pump_delivery,
                     stats: &pump_stats,
                     config,
                     loss: &pump_loss,
                 };
-                pump_loop(&ctx, &pump_closed);
+                pump_loop(&ctx, &pump_closed, tick);
             })
             .expect("spawning the CLF pump thread failed");
 
@@ -453,7 +455,7 @@ impl UdpEndpoint {
             socket,
             config,
             shared,
-            inbox,
+            delivery,
             stats,
             closed,
             pump: Mutex::new(Some(handle)),
@@ -666,21 +668,34 @@ struct PumpCtx<'a> {
     local: AsId,
     socket: &'a UdpSocket,
     shared: &'a Mutex<Shared>,
-    deliver: &'a Sender<(AsId, Bytes)>,
+    delivery: &'a Delivery,
     stats: &'a StatCounters,
     config: UdpConfig,
     loss: &'a Mutex<LossState>,
 }
 
-fn pump_loop(ctx: &PumpCtx<'_>, closed: &AtomicBool) {
+/// The pump: receive a burst, update protocol state, send acks and
+/// whatever the windows admit, then hand the burst's completed messages
+/// to the handler. Acks go out before the handler runs so a slow
+/// handler never delays the peer's window. `tick` is the socket read
+/// timeout; a handler deadline due sooner bounds the wait instead.
+fn pump_loop(ctx: &PumpCtx<'_>, closed: &AtomicBool, tick: Duration) {
     let batch = ctx.config.batch.max(1);
     let mut bufs: Vec<Vec<u8>> = (0..batch).map(|_| vec![0u8; RECV_BUF]).collect();
     let mut results: Vec<(usize, SocketAddr)> = Vec::new();
     let mut grams: Vec<OutDatagram> = Vec::new();
     let mut dirty: Vec<AsId> = Vec::new();
+    let mut completed: Vec<(AsId, Bytes)> = Vec::new();
     let mut last_scan = Instant::now();
     while !closed.load(Ordering::Acquire) {
-        match udp_sys::recv_burst(ctx.socket, &mut bufs, &mut results) {
+        let due_first = ctx.delivery.tick().filter(|d| *d < tick);
+        let readable = due_first.is_none_or(|d| udp_sys::wait_readable(ctx.socket, d));
+        let received = if readable {
+            udp_sys::recv_burst(ctx.socket, &mut bufs, &mut results)
+        } else {
+            Ok(())
+        };
+        match received {
             Ok(()) => {
                 if !results.is_empty() {
                     ctx.stats.note_batch_rx(results.len() as u64);
@@ -702,7 +717,7 @@ fn pump_loop(ctx: &PumpCtx<'_>, closed: &AtomicBool) {
             let mut buf = std::mem::take(&mut bufs[k]);
             buf.truncate(len);
             let datagram = Bytes::from(buf);
-            process_datagram(ctx, &datagram, from_addr, &mut dirty);
+            process_datagram(ctx, &datagram, from_addr, &mut dirty, &mut completed);
             bufs[k] = match datagram.try_into_vec() {
                 Ok(mut v) => {
                     v.resize(RECV_BUF, 0);
@@ -728,6 +743,7 @@ fn pump_loop(ctx: &PumpCtx<'_>, closed: &AtomicBool) {
             &mut grams,
         );
         emit(ctx.socket, &ctx.config, ctx.loss, &mut grams, ctx.stats);
+        ctx.delivery.deliver_all(&mut completed);
     }
 }
 
@@ -806,6 +822,7 @@ fn process_datagram(
     datagram: &Bytes,
     from_addr: SocketAddr,
     dirty: &mut Vec<AsId>,
+    completed: &mut Vec<(AsId, Bytes)>,
 ) {
     if datagram.len() < 2 {
         return;
@@ -813,7 +830,7 @@ fn process_datagram(
     match u16::from_be_bytes([datagram[0], datagram[1]]) {
         MAGIC => {
             if let Some(p) = parse(datagram, 0, datagram.len()) {
-                handle_packet(ctx, p, from_addr, dirty);
+                handle_packet(ctx, p, from_addr, dirty, completed);
             }
         }
         COALESCE_MAGIC => {
@@ -825,7 +842,7 @@ fn process_datagram(
                     break;
                 }
                 if let Some(p) = parse(datagram, off, off + len) {
-                    handle_packet(ctx, p, from_addr, dirty);
+                    handle_packet(ctx, p, from_addr, dirty, completed);
                 }
                 off += len;
             }
@@ -834,9 +851,15 @@ fn process_datagram(
     }
 }
 
-fn handle_packet(ctx: &PumpCtx<'_>, p: Parsed, from_addr: SocketAddr, dirty: &mut Vec<AsId>) {
+fn handle_packet(
+    ctx: &PumpCtx<'_>,
+    p: Parsed,
+    from_addr: SocketAddr,
+    dirty: &mut Vec<AsId>,
+    completed: &mut Vec<(AsId, Bytes)>,
+) {
     match p.kind {
-        KIND_DATA => handle_data(ctx, p, from_addr, dirty),
+        KIND_DATA => handle_data(ctx, p, from_addr, dirty, completed),
         KIND_ACK => {
             let mut st = ctx.shared.lock();
             if let Some(tx) = st.tx.get_mut(&p.src) {
@@ -877,8 +900,14 @@ fn handle_packet(ctx: &PumpCtx<'_>, p: Parsed, from_addr: SocketAddr, dirty: &mu
     }
 }
 
-fn handle_data(ctx: &PumpCtx<'_>, p: Parsed, from_addr: SocketAddr, dirty: &mut Vec<AsId>) {
-    let completed;
+fn handle_data(
+    ctx: &PumpCtx<'_>,
+    p: Parsed,
+    from_addr: SocketAddr,
+    dirty: &mut Vec<AsId>,
+    completed: &mut Vec<(AsId, Bytes)>,
+) {
+    let done;
     {
         let mut st = ctx.shared.lock();
         // Learn/refresh the peer's address from observed traffic.
@@ -889,15 +918,15 @@ fn handle_data(ctx: &PumpCtx<'_>, p: Parsed, from_addr: SocketAddr, dirty: &mut 
         if !ev.accepted {
             ctx.stats.note_duplicate();
         }
-        completed = ev.completed;
+        done = ev.completed;
     }
     // Even a duplicate re-dirties the peer: its ack may have been lost.
     if !dirty.contains(&p.src) {
         dirty.push(p.src);
     }
-    for msg in completed {
+    for msg in done {
         ctx.stats.note_received(msg.len());
-        let _ = ctx.deliver.send((p.src, msg));
+        completed.push((p.src, msg));
     }
 }
 
@@ -968,39 +997,20 @@ impl ClfTransport for UdpEndpoint {
         Ok(())
     }
 
+    fn set_handler(&self, handler: Arc<dyn ClfHandler>) {
+        self.delivery.install(handler);
+    }
+
     fn recv(&self) -> Result<(AsId, Bytes), ClfError> {
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(ClfError::Closed);
-            }
-            match self.inbox.recv_timeout(Duration::from_millis(50)) {
-                Ok(m) => return Ok(m),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return Err(ClfError::Closed),
-            }
-        }
+        self.delivery.recv(&self.closed)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(AsId, Bytes), ClfError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(ClfError::Closed);
-        }
-        match self.inbox.recv_timeout(timeout) {
-            Ok(m) => Ok(m),
-            Err(RecvTimeoutError::Timeout) => Err(ClfError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(ClfError::Closed),
-        }
+        self.delivery.recv_timeout(&self.closed, timeout)
     }
 
     fn try_recv(&self) -> Result<(AsId, Bytes), ClfError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(ClfError::Closed);
-        }
-        match self.inbox.try_recv() {
-            Ok(m) => Ok(m),
-            Err(TryRecvError::Empty) => Err(ClfError::Empty),
-            Err(TryRecvError::Disconnected) => Err(ClfError::Closed),
-        }
+        self.delivery.try_recv(&self.closed)
     }
 
     fn stats(&self) -> TransportStats {
@@ -1060,7 +1070,11 @@ impl ClfTransport for UdpEndpoint {
     fn shutdown(&self) {
         self.closed.store(true, Ordering::Release);
         if let Some(h) = self.pump.lock().take() {
-            let _ = h.join();
+            // Shutdown may run on the pump itself (a handler reacting to
+            // a message); it exits on its next pass.
+            if h.thread().id() != std::thread::current().id() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -1077,10 +1091,7 @@ impl fmt::Debug for UdpEndpoint {
 
 impl Drop for UdpEndpoint {
     fn drop(&mut self) {
-        self.closed.store(true, Ordering::Release);
-        if let Some(h) = self.pump.lock().take() {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 

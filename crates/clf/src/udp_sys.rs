@@ -83,6 +83,32 @@ mod linux {
         fn sendmmsg(fd: i32, vec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
         fn recvmmsg(fd: i32, vec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
         fn setsockopt(fd: i32, level: i32, name: i32, val: *const u8, len: u32) -> i32;
+        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+    }
+
+    const POLLIN: i16 = 1;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    /// `poll(2)` for readability: unlike `SO_RCVTIMEO`, which the kernel
+    /// rounds to whole scheduler ticks, its timeout runs on a
+    /// high-resolution timer. Errors report readable, leaving the
+    /// decision to the receive call.
+    pub(super) fn wait_readable(socket: &UdpSocket, timeout: std::time::Duration) -> bool {
+        let ms = i32::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(i32::MAX);
+        let mut fd = PollFd {
+            fd: socket.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        // SAFETY: one valid pollfd for the duration of the call.
+        let n = unsafe { poll(&mut fd, 1, ms) };
+        n != 0
     }
 
     fn sockaddr_of(addr: &SocketAddrV4) -> SockAddrIn {
@@ -296,6 +322,22 @@ pub(crate) fn recv_burst(
     #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
     {
         recv_burst_fallback(socket, bufs, out)
+    }
+}
+
+/// Waits up to `timeout` (rounded up to whole milliseconds, never early)
+/// for the socket to turn readable; `false` means the time ran out.
+/// Where the platform offers no precise wait, reports readable at once
+/// and leaves waiting to the socket read timeout.
+pub(crate) fn wait_readable(socket: &UdpSocket, timeout: std::time::Duration) -> bool {
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    {
+        linux::wait_readable(socket, timeout)
+    }
+    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+    {
+        let _ = (socket, timeout);
+        true
     }
 }
 

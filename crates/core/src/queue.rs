@@ -271,6 +271,24 @@ impl Queue {
         self.spine.lock().items.len()
     }
 
+    /// The lowest timestamp still queued or checked out and not yet
+    /// consumed, or `None` when every item put so far was consumed (or
+    /// evicted). A follower replica may drop everything below it.
+    #[must_use]
+    pub fn lowest_unconsumed_ts(&self) -> Option<Timestamp> {
+        // Spine → shard order, as in checkout: an item moves from the
+        // spine to its in-flight shard under the spine lock, so holding
+        // the spine across the scan sees it in exactly one place.
+        let st = self.spine.lock();
+        let mut low = st.items.iter().map(|e| e.ts).min();
+        for shard in self.inflight.iter() {
+            if let Some(ts) = shard.lock().values().map(|inf| inf.ts).min() {
+                low = Some(low.map_or(ts, |l| l.min(ts)));
+            }
+        }
+        low
+    }
+
     /// Number of items handed out but not yet settled.
     #[must_use]
     pub fn inflight_items(&self) -> usize {
@@ -1069,6 +1087,29 @@ mod tests {
             assert_eq!(it.payload(), &[v]);
             inp.consume(t).unwrap();
         }
+    }
+
+    #[test]
+    fn lowest_unconsumed_covers_queued_and_in_flight_items() {
+        let q = Queue::standalone(QueueAttrs::default());
+        let out = q.connect_output();
+        let inp = q.connect_input();
+        assert_eq!(q.lowest_unconsumed_ts(), None);
+        for v in [5, 5, 7] {
+            out.put(ts(v), item(b"x")).unwrap();
+        }
+        // One of the two ts=5 items is consumed; its twin keeps 5 live.
+        let (_, _, first) = inp.get().unwrap();
+        inp.consume(first).unwrap();
+        assert_eq!(q.lowest_unconsumed_ts(), Some(ts(5)));
+        // Checked out but not consumed still counts.
+        let (_, _, second) = inp.get().unwrap();
+        assert_eq!(q.lowest_unconsumed_ts(), Some(ts(5)));
+        inp.consume(second).unwrap();
+        assert_eq!(q.lowest_unconsumed_ts(), Some(ts(7)));
+        let (_, _, last) = inp.get().unwrap();
+        inp.consume(last).unwrap();
+        assert_eq!(q.lowest_unconsumed_ts(), None);
     }
 
     #[test]

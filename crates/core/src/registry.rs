@@ -218,12 +218,16 @@ impl StmRegistry {
         out
     }
 
-    /// Closes every container (e.g. on address-space shutdown).
+    /// Closes every container (e.g. on address-space shutdown). Closing
+    /// wakes parked waiters, which may re-enter the registry, so no
+    /// registry lock is held while closing.
     pub fn close_all(&self) {
-        for c in self.channels.read().values() {
+        let channels: Vec<Arc<Channel>> = self.channels.read().values().cloned().collect();
+        for c in channels {
             c.close();
         }
-        for q in self.queues.read().values() {
+        let queues: Vec<Arc<Queue>> = self.queues.read().values().cloned().collect();
+        for q in queues {
             q.close();
         }
     }

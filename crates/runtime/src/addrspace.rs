@@ -3,11 +3,14 @@
 //! A D-Stampede computation is a set of *address spaces* ("the server
 //! program creates multiple address spaces N₁ … N_k in the cluster", paper
 //! §4), each owning a registry of channels and queues and connected to its
-//! peers by CLF. An [`AddressSpace`] runs a dispatcher thread that fields
-//! operations arriving from other address spaces; operations that may
-//! block (a `get` waiting for an item) are offloaded to short-lived worker
-//! threads so the dispatcher stays responsive — the threads-for-surrogates
-//! structure of the original system.
+//! peers by CLF. Operations arriving from other address spaces run on the
+//! CLF endpoint's receive thread, which must never block: a wait whose
+//! wakeup is local (a `get` waiting for an item on a container hosted
+//! here) parks on the container's waker set and is answered by whichever
+//! thread wakes it (see `parked.rs`); only waits with no local
+//! wakeup source — blocking batch puts, cluster-wide pulls — get a
+//! short-lived worker thread. The original system gave every blocking
+//! operation a thread instead.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -19,7 +22,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
-use dstampede_clf::{ClfError, ClfTransport, TransportStats};
+use dstampede_clf::{ClfError, ClfHandler, ClfTransport, TransportStats};
 use dstampede_core::gc::{GcSummary, MinFloorAggregator};
 use dstampede_core::thread::ThreadRegistry;
 use dstampede_core::VirtualTime;
@@ -33,12 +36,13 @@ use dstampede_obs::{
 };
 use dstampede_wire::{NsEntry, Reply, ReplyFrame, Request, RequestFrame, WaitSpec};
 
-use crate::exec::{execute, is_blocking, ConnTable};
+use crate::exec::{execute, is_blocking, shim_plan, wait_of, ConnTable, ShimPlan};
 use crate::failure::RpcConfig;
 use crate::nameserver::NameServer;
+use crate::parked::{ParkedRequest, RequestTimers};
 use crate::placement::{self, Placement};
 use crate::proto::{self, AsMessage, NO_REPLY};
-use crate::proxy::{ChannelRef, QueueRef};
+use crate::proxy::{wait_to_timeout, ChannelRef, QueueRef};
 use crate::recorder::RecorderConfig;
 use crate::replicate::{ReplicaAttrs, ReplicaStore, Replicator};
 
@@ -61,7 +65,14 @@ pub struct AddressSpace {
     next_seq: AtomicU64,
     next_req_id: AtomicU64,
     conns: Arc<ConnTable>,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Blocking requests from peers parked on local wakeup sources.
+    parked: Mutex<HashMap<u64, Arc<ParkedRequest>>>,
+    next_park: AtomicU64,
+    /// `TimeoutMs` deadlines of parked requests, advanced by the CLF
+    /// receive loop.
+    timers: Arc<RequestTimers>,
+    parked_gauge: Arc<dstampede_obs::Gauge>,
+    offloaded_counter: Arc<dstampede_obs::Counter>,
     down: AtomicBool,
     gc_agg: Mutex<MinFloorAggregator>,
     gc_epochs: AtomicU64,
@@ -130,7 +141,11 @@ impl AddressSpace {
             next_seq: AtomicU64::new(1),
             next_req_id: AtomicU64::new(1),
             conns: Arc::new(ConnTable::new()),
-            dispatcher: Mutex::new(None),
+            parked: Mutex::new(HashMap::new()),
+            next_park: AtomicU64::new(1),
+            timers: Arc::new(RequestTimers::new()),
+            parked_gauge: metrics.gauge("rpc", "remote_parked"),
+            offloaded_counter: metrics.counter("rpc", "remote_offloaded"),
             down: AtomicBool::new(false),
             gc_agg: Mutex::new(MinFloorAggregator::new()),
             gc_epochs: AtomicU64::new(0),
@@ -154,12 +169,10 @@ impl AddressSpace {
             create_nonce: AtomicU64::new(1),
             reactor: Mutex::new(None),
         });
-        let dispatch_space = Arc::clone(&space);
-        let handle = std::thread::Builder::new()
-            .name(format!("as-{}-dispatch", id.0))
-            .spawn(move || dispatch_loop(&dispatch_space))
-            .expect("spawning the dispatcher thread failed");
-        *space.dispatcher.lock() = Some(handle);
+        space.transport.set_handler(Arc::new(Inbound {
+            space: Arc::downgrade(&space),
+            timers: Arc::clone(&space.timers),
+        }));
         space
     }
 
@@ -387,7 +400,11 @@ impl AddressSpace {
             };
             if self.open_replica(resource, follower, open) {
                 let repl = self.replicator_handle();
+                let floors = Arc::clone(&repl);
                 queue.add_put_hook(move |ev| repl.enqueue(ev));
+                // A consumed item raises the floor the follower prunes
+                // its replica to, so promotion never re-delivers it.
+                queue.add_garbage_hook(move |_| floors.note_floor(resource));
             }
         }
         queue
@@ -409,8 +426,8 @@ impl AddressSpace {
     }
 
     /// Records the replication route and schedules the follower's
-    /// `ReplicaOpen*` — delivered asynchronously by the replicator's pump
-    /// thread, because this may run on the dispatcher (a forwarded
+    /// `ReplicaOpen*` — delivered asynchronously by the replicator's pump,
+    /// because this may run on the CLF receive thread (a forwarded
     /// create), which must never block on its own peer RPC. `false` only
     /// when the follower is already known incapable (an old peer).
     fn open_replica(self: &Arc<Self>, resource: ResourceId, follower: AsId, open: Request) -> bool {
@@ -1075,7 +1092,8 @@ impl AddressSpace {
     /// Declares a peer dead and runs the recovery path:
     ///
     /// 1. outstanding calls to the peer fail with
-    ///    [`StmError::Disconnected`];
+    ///    [`StmError::Disconnected`], and its parked blocking requests
+    ///    are dropped unanswered;
     /// 2. connections the peer opened here are orphaned — their virtual
     ///    time advances to infinity and their consume claims drop, so
     ///    per-container GC progresses, and in-flight queue tickets return
@@ -1110,6 +1128,7 @@ impl AddressSpace {
         // 1. Fail calls waiting on the dead peer (dropping the sender
         //    wakes the caller with Disconnected).
         self.pending.lock().retain(|_, pc| pc.dst != peer);
+        self.cancel_parked(|p| p.origin() == peer);
 
         // 2. Orphan the dead peer's connections.
         let orphans = self.conns.remove_owned_by(peer);
@@ -1386,9 +1405,9 @@ impl AddressSpace {
         }
     }
 
-    /// Shuts the address space down: closes every container, stops the
-    /// dispatcher, and fails outstanding calls with
-    /// [`StmError::Disconnected`]. Idempotent.
+    /// Shuts the address space down: drops parked peer requests, closes
+    /// every container, stops the transport's receive thread, and fails
+    /// outstanding calls with [`StmError::Disconnected`]. Idempotent.
     pub fn shutdown(&self) {
         if self.down.swap(true, Ordering::AcqRel) {
             return;
@@ -1396,13 +1415,58 @@ impl AddressSpace {
         if let Some(repl) = self.replicator.lock().take() {
             repl.stop();
         }
+        self.cancel_parked(|_| true);
         self.registry.close_all();
         self.transport.shutdown();
         self.pending.lock().clear(); // wakes callers with Disconnected
-        if let Some(h) = self.dispatcher.lock().take() {
-            let _ = h.join();
-        }
         self.conns.clear();
+    }
+
+    // ---- parked peer requests ----
+
+    pub(crate) fn conns(&self) -> &Arc<ConnTable> {
+        &self.conns
+    }
+
+    pub(crate) fn request_timers(&self) -> &RequestTimers {
+        &self.timers
+    }
+
+    pub(crate) fn next_park_key(&self) -> u64 {
+        self.next_park.fetch_add(1, Ordering::Relaxed)
+    }
+
+    pub(crate) fn track_parked(&self, key: u64, parked: Arc<ParkedRequest>) {
+        let mut table = self.parked.lock();
+        table.insert(key, parked);
+        self.parked_gauge
+            .set(i64::try_from(table.len()).unwrap_or(i64::MAX));
+    }
+
+    pub(crate) fn untrack_parked(&self, key: u64) {
+        let mut table = self.parked.lock();
+        table.remove(&key);
+        self.parked_gauge
+            .set(i64::try_from(table.len()).unwrap_or(i64::MAX));
+    }
+
+    /// Cancels (without a reply) every parked request `doomed` selects.
+    fn cancel_parked(&self, doomed: impl Fn(&ParkedRequest) -> bool) {
+        let cancelled: Vec<Arc<ParkedRequest>> = {
+            let mut table = self.parked.lock();
+            let keys: Vec<u64> = table
+                .iter()
+                .filter(|(_, p)| doomed(p))
+                .map(|(k, _)| *k)
+                .collect();
+            let out = keys.iter().filter_map(|k| table.remove(k)).collect();
+            self.parked_gauge
+                .set(i64::try_from(table.len()).unwrap_or(i64::MAX));
+            out
+        };
+        for p in cancelled {
+            p.cancel(self);
+        }
     }
 
     /// Whether [`AddressSpace::shutdown`] has run.
@@ -1522,22 +1586,48 @@ fn clf_to_stm(e: &ClfError) -> StmError {
     }
 }
 
-fn dispatch_loop(space: &Arc<AddressSpace>) {
-    loop {
-        match space.transport.recv() {
-            Ok((from, msg)) => handle_message(space, from, &msg),
-            Err(ClfError::Closed) => break,
-            Err(_) => {}
+/// The address space's CLF handler: inter-AS messages are served on the
+/// endpoint's receive thread, and the receive loop's pass doubles as the
+/// clock for parked requests' deadlines.
+struct Inbound {
+    space: std::sync::Weak<AddressSpace>,
+    timers: Arc<RequestTimers>,
+}
+
+impl ClfHandler for Inbound {
+    fn on_message(&self, from: AsId, msg: Bytes) {
+        if let Some(space) = self.space.upgrade() {
+            handle_message(&space, from, &msg);
         }
+    }
+
+    fn on_tick(&self) -> Option<Duration> {
+        self.timers.advance()
     }
 }
 
+/// Serves one inter-AS message on the receive thread. Requests that
+/// cannot block run inline; waits with a local wakeup source park
+/// ([`ParkedRequest`]); the rest get a worker thread, since the receive
+/// thread must never wait on a peer.
 fn handle_message(space: &Arc<AddressSpace>, from: AsId, msg: &Bytes) {
     // Any traffic from a peer renews its lease.
     space.note_peer(from);
     match proto::decode(msg) {
-        Ok(AsMessage::Request(frame)) => {
-            if is_blocking(&frame.req) {
+        Ok(AsMessage::Request(frame)) => match shim_plan(space, &space.conns, &frame.req) {
+            ShimPlan::Inline => {
+                let guard = trace::scope(frame.trace);
+                let reply = execute(space, &space.conns, None, Some(from), frame.req);
+                let reply_trace = trace::current();
+                drop(guard);
+                send_reply(space, from, frame.seq, reply, reply_trace);
+            }
+            ShimPlan::Park => {
+                let timeout = wait_of(&frame.req).and_then(wait_to_timeout).flatten();
+                ParkedRequest::start(space, from, frame.seq, frame.req, frame.trace, timeout);
+            }
+            ShimPlan::Offload => {
+                space.offloaded_counter.inc();
                 let worker_space = Arc::clone(space);
                 let builder =
                     std::thread::Builder::new().name(format!("as-{}-worker", space.id().0));
@@ -1562,15 +1652,8 @@ fn handle_message(space: &Arc<AddressSpace>, from: AsId, msg: &Bytes) {
                         None,
                     );
                 }
-            } else {
-                let conns = Arc::clone(&space.conns);
-                let guard = trace::scope(frame.trace);
-                let reply = execute(space, &conns, None, Some(from), frame.req);
-                let reply_trace = trace::current();
-                drop(guard);
-                send_reply(space, from, frame.seq, reply, reply_trace);
             }
-        }
+        },
         Ok(AsMessage::Reply(frame)) => {
             if let Some(pc) = space.pending.lock().remove(&frame.seq) {
                 let _ = pc.tx.send(frame);
@@ -1580,7 +1663,7 @@ fn handle_message(space: &Arc<AddressSpace>, from: AsId, msg: &Bytes) {
     }
 }
 
-fn send_reply(
+pub(crate) fn send_reply(
     space: &Arc<AddressSpace>,
     to: AsId,
     seq: u64,
@@ -1778,12 +1861,12 @@ mod tests {
     }
 
     #[test]
-    fn malformed_message_does_not_kill_dispatcher() {
+    fn malformed_message_does_not_kill_the_receive_thread() {
         let fabric = MemFabric::new();
         let a = AddressSpace::start(fabric.endpoint(AsId(0)), true);
         let raw = fabric.endpoint(AsId(5));
         raw.send(AsId(0), Bytes::from_static(b"garbage")).unwrap();
-        // The dispatcher must survive and keep answering.
+        // The receive thread must survive and keep answering.
         let b = AddressSpace::start(fabric.endpoint(AsId(1)), false);
         match b.call(AsId(0), Request::Ping { nonce: 7 }).unwrap() {
             Reply::Pong { nonce } => assert_eq!(nonce, 7),

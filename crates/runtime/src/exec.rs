@@ -1,7 +1,8 @@
 //! Shared execution of RPC operations against an address space.
 //!
-//! Both entry points into an address space — the inter-AS dispatcher and
-//! the per-client surrogate threads — funnel requests through
+//! Both entry points into an address space — inter-AS messages handled
+//! on the CLF receive thread, and the per-client surrogates — funnel
+//! requests through
 //! [`execute`], which resolves session-local connection handles through a
 //! [`ConnTable`] and performs the operation via the proxy layer. Surrogates
 //! additionally pass a [`GcNoteQueue`]; garbage hooks installed on behalf
@@ -71,7 +72,9 @@ const REPLAY_CACHE_CAP: usize = 512;
 ///
 /// Entries are `Arc`-shared so blocking operations can proceed on a clone
 /// while the table lock is free; a disconnect removes the entry and the
-/// connection closes when the last in-flight operation finishes. Each
+/// connection closes when the last in-flight operation finishes. Entries
+/// are never dropped under the table lock: closing a connection wakes
+/// parked requests, which look their handles up again. Each
 /// entry is tagged with the peer address space that opened it (when opened
 /// over inter-AS RPC), so [`ConnTable::remove_owned_by`] can reap a dead
 /// peer's connections. The table also holds the dedup cache answering
@@ -142,11 +145,8 @@ impl ConnTable {
     ///
     /// [`StmError::NoSuchConnection`] for unknown handles.
     pub fn remove(&self, handle: u64) -> StmResult<()> {
-        self.map
-            .lock()
-            .remove(&handle)
-            .map(|_| ())
-            .ok_or(StmError::NoSuchConnection)
+        let entry = self.map.lock().remove(&handle);
+        entry.map(|_| ()).ok_or(StmError::NoSuchConnection)
     }
 
     /// Removes and returns every connection `peer` opened (for orphaning
@@ -200,7 +200,8 @@ impl ConnTable {
 
     /// Drops every connection (session teardown).
     pub fn clear(&self) {
-        self.map.lock().clear();
+        let entries = std::mem::take(&mut *self.map.lock());
+        drop(entries);
     }
 }
 
@@ -250,8 +251,9 @@ impl GcNoteQueue {
     }
 }
 
-/// Whether executing this request may block the calling thread (the
-/// dispatcher offloads such requests to a worker thread).
+/// Whether executing this request may block the calling thread (see
+/// [`shim_plan`] for how each entry point keeps such requests off its
+/// serving thread).
 #[must_use]
 pub fn is_blocking(req: &Request) -> bool {
     match req {
@@ -272,11 +274,11 @@ pub fn is_blocking(req: &Request) -> bool {
     }
 }
 
-/// How a reactor surrogate should run one request (see
-/// `crate::listener`'s reactor mode). Blocking waits cannot run on the
-/// executor's worker pool directly — a parked worker starves every other
-/// session — so each request is classified by where its wakeup would come
-/// from.
+/// How a reactor surrogate, or the CLF receive thread serving a peer,
+/// should run one request. Blocking waits cannot run on either directly —
+/// a parked worker starves every other session, a parked receive thread
+/// every peer — so each request is classified by where its wakeup would
+/// come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShimPlan {
     /// Run [`execute`] inline: the request cannot actually block here
@@ -293,7 +295,7 @@ pub enum ShimPlan {
     Offload,
 }
 
-/// Classifies `req` for a reactor surrogate.
+/// Classifies `req` for a reactor surrogate or an inter-AS request.
 #[must_use]
 pub fn shim_plan(space: &Arc<AddressSpace>, conns: &ConnTable, req: &Request) -> ShimPlan {
     if !is_blocking(req) {

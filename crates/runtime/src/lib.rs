@@ -4,8 +4,9 @@
 //! spaces* connected by CLF, following the architecture of the paper's
 //! §3.2:
 //!
-//! * [`AddressSpace`] — owns a container registry and runs a dispatcher
-//!   for operations arriving from peers;
+//! * [`AddressSpace`] — owns a container registry and serves operations
+//!   arriving from peers on its CLF receive thread, parking blocking ones
+//!   on the containers' waker sets;
 //! * [`ChannelRef`]/[`QueueRef`] — location-transparent access: the same
 //!   connection API whether the container is local or remote;
 //! * [`NameServer`] — the rendezvous registry hosted in address space 0;
@@ -52,6 +53,7 @@ pub mod failure;
 pub mod gc_epoch;
 pub mod listener;
 pub mod nameserver;
+mod parked;
 pub mod placement;
 pub mod proto;
 pub mod proxy;

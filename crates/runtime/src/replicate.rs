@@ -3,13 +3,16 @@
 //! Every channel or queue hosted through the placed-create path gets a
 //! *follower*: a second live address space chosen by rendezvous hashing
 //! (see [`crate::placement`]). The primary tails its own accepted puts
-//! through a core put hook into a bounded in-flight window; a background
-//! thread drains the window into [`Request::ReplicatePut`] batches — the
-//! PR 4 batch item encoding — and counts acks. The follower keeps the
-//! items in a passive [`ReplicaStore`], pruned by the primary's GC floor,
-//! until either the primary reclaims them (floor advance) or dies — at
-//! which point death recovery promotes the replica into a real container
-//! (see `AddressSpace::declare_peer_dead`, step 5).
+//! through a core put hook into a bounded in-flight window; a pump drains
+//! the window into [`Request::ReplicatePut`] batches — the batch item
+//! encoding of `PutBatch` — and counts acks. The pump sleeps while the
+//! window is empty: the put that makes it non-empty wakes it, and it then
+//! lingers briefly so the batch can fill. The follower keeps the items in
+//! a passive [`ReplicaStore`], pruned to a floor the primary ships with
+//! each batch — a channel's GC floor, or one below a queue's lowest
+//! unconsumed timestamp (a consume alone also ships that floor) — until
+//! the primary dies, at which point death recovery promotes the replica
+//! into a real container (see `AddressSpace::declare_peer_dead`, step 5).
 //!
 //! The window is bounded: a primary that outruns its follower drops the
 //! oldest unsent events rather than stalling the put path, so a crash
@@ -45,13 +48,13 @@ pub const REPLICA_ITEM_CAP: usize = 65_536;
 /// How many put events one `ReplicatePut` frame carries at most.
 const REPLICATE_BATCH: usize = 256;
 
-/// How long the pump lets a partial batch linger before shipping it.
-/// Shipping on a linger tick (or a full batch) instead of on every put
-/// keeps a freshly woken pump from preempting the producer once per
-/// enqueue on core-starved machines, and lets `ReplicatePut` frames
-/// fill toward [`REPLICATE_BATCH`] instead of carrying singletons. The
-/// price is at most this much extra staleness on top of the window
-/// bound — negligible against failure-detection timescales.
+/// How long a woken pump lets a partial batch linger before shipping it.
+/// Lingering instead of shipping on every put keeps the pump from
+/// preempting the producer once per enqueue on core-starved machines,
+/// and lets `ReplicatePut` frames fill toward [`REPLICATE_BATCH`]
+/// instead of carrying singletons. The price is at most this much extra
+/// staleness on top of the window bound — negligible against
+/// failure-detection timescales.
 const REPLICATE_LINGER: std::time::Duration = std::time::Duration::from_millis(1);
 
 /// The creation attributes of a replicated container, replayed when the
@@ -99,7 +102,8 @@ impl ReplicaStore {
     }
 
     /// Appends replicated items and prunes everything at or below the
-    /// primary's reclamation floor.
+    /// primary's floor ([`Timestamp::MAX`] prunes everything: nothing
+    /// replicated so far is still live on the primary).
     ///
     /// # Errors
     ///
@@ -119,7 +123,9 @@ impl ReplicaStore {
                 .items
                 .insert(item.ts.value(), (item.tag, item.payload.clone()));
         }
-        if floor.value() > i64::MIN {
+        if floor == Timestamp::MAX {
+            state.items.clear();
+        } else if floor.value() > i64::MIN {
             state.items = state.items.split_off(&(floor.value() + 1));
         }
         while state.items.len() > REPLICA_ITEM_CAP {
@@ -180,17 +186,21 @@ struct Route {
 struct ReplicatorState {
     window: VecDeque<Pending>,
     routes: HashMap<ResourceId, Route>,
-    /// `ReplicaOpen*` requests not yet delivered, performed by the pump
-    /// thread: the executor path may run on the dispatcher, which must
+    /// `ReplicaOpen*` requests not yet delivered, performed by the pump:
+    /// the executor path may run on the CLF receive thread, which must
     /// never block on its own peer RPC.
     opens: VecDeque<(AsId, Request)>,
+    /// Replicated queues that consumed an item since their last ship:
+    /// their follower is owed a higher floor even without new puts.
+    floors: HashSet<ResourceId>,
     /// Followers that answered a replication RPC with "unhandled
     /// request": old peers. Routes to them are retired.
     incapable: HashSet<AsId>,
-    /// True while the pump is out shipping a drained batch — the window
-    /// alone understates the backlog (`lag` drops before the follower
-    /// acks), so quiescence checks need both.
-    busy: bool,
+    /// True from the moment work arrives for an idle pump until a ship
+    /// round has drained the window, opens and floors to empty — the
+    /// window alone understates the backlog (`lag` drops before the
+    /// follower acks), so quiescence checks read this instead.
+    armed: bool,
     acked: u64,
 }
 
@@ -200,8 +210,11 @@ pub struct Replicator {
     state: Mutex<ReplicatorState>,
     wake: Condvar,
     down: AtomicBool,
+    /// The pump thread, when not running on a reactor.
     worker: Mutex<Option<JoinHandle<()>>>,
-    periodic: Mutex<Option<crate::reactor::PeriodicHandle>>,
+    /// In reactor mode each ship round is a timer-wheel linger plus an
+    /// offloaded drain, spawned when work arrives; nothing runs idle.
+    reactor: Option<crate::reactor::Reactor>,
     /// Metric handles resolved once at start: [`Replicator::enqueue`] is
     /// on the accepted-put hot path and must not pay registry lookups.
     lag_gauge: Arc<dstampede_obs::Gauge>,
@@ -226,7 +239,7 @@ impl Replicator {
     /// Creates the replicator for `space` and starts its pump thread.
     #[must_use]
     pub fn start(space: &Arc<AddressSpace>) -> Arc<Self> {
-        let repl = Replicator::new(space);
+        let repl = Replicator::new(space, None);
         let r2 = Arc::clone(&repl);
         let handle = std::thread::Builder::new()
             .name(format!("as-{}-repl", space.id().0))
@@ -236,57 +249,21 @@ impl Replicator {
         repl
     }
 
-    /// Creates the replicator for `space`, clocking its linger tick on a
-    /// reactor's timer wheel instead of a dedicated pump thread. Each
-    /// tick with pending work hands the blocking ship round (peer RPC)
-    /// to an offload thread, which drains the window to empty before
+    /// Creates the replicator for `space` on a reactor: no pump thread.
+    /// Work arriving at an idle replicator spawns one ship round — a
+    /// linger on the timer wheel, then the blocking ship (peer RPC) on
+    /// an offload thread, which drains the window to empty before
     /// retiring — so heavy backlogs still ship at full speed while an
-    /// idle replicator holds no thread at all.
+    /// idle replicator holds no thread and no timer.
     #[must_use]
     pub fn start_reactor(
         space: &Arc<AddressSpace>,
         reactor: &crate::reactor::Reactor,
     ) -> Arc<Self> {
-        let repl = Replicator::new(space);
-        let r2 = Arc::clone(&repl);
-        let offload_reactor = reactor.clone();
-        let handle = reactor.spawn_periodic(REPLICATE_LINGER, move || {
-            if r2.down.load(Ordering::SeqCst) {
-                return false;
-            }
-            {
-                let st = r2.state.lock();
-                if st.busy || (st.window.is_empty() && st.opens.is_empty()) {
-                    return true;
-                }
-            }
-            let r3 = Arc::clone(&r2);
-            drop(offload_reactor.run_blocking("repl-ship", move || loop {
-                let (opens, batch): (Vec<(AsId, Request)>, Vec<Pending>) = {
-                    let mut st = r3.state.lock();
-                    if r3.down.load(Ordering::SeqCst)
-                        || (st.window.is_empty() && st.opens.is_empty())
-                    {
-                        st.busy = false;
-                        let lag = st.window.len() as i64;
-                        drop(st);
-                        r3.publish_lag(lag);
-                        return;
-                    }
-                    st.busy = true;
-                    let n = st.window.len().min(REPLICATE_BATCH);
-                    (st.opens.drain(..).collect(), st.window.drain(..n).collect())
-                };
-                r3.deliver_opens(opens);
-                r3.ship(batch);
-            }));
-            true
-        });
-        *repl.periodic.lock() = Some(handle);
-        repl
+        Replicator::new(space, Some(reactor.clone()))
     }
 
-    fn new(space: &Arc<AddressSpace>) -> Arc<Self> {
+    fn new(space: &Arc<AddressSpace>, reactor: Option<crate::reactor::Reactor>) -> Arc<Self> {
         let metrics = space.metrics();
         let node = format!("as-{}", space.id().0);
         Arc::new(Replicator {
@@ -295,14 +272,15 @@ impl Replicator {
                 window: VecDeque::new(),
                 routes: HashMap::new(),
                 opens: VecDeque::new(),
+                floors: HashSet::new(),
                 incapable: HashSet::new(),
-                busy: false,
+                armed: false,
                 acked: 0,
             }),
             wake: Condvar::new(),
             down: AtomicBool::new(false),
             worker: Mutex::new(None),
-            periodic: Mutex::new(None),
+            reactor,
             lag_gauge: metrics.gauge("repl", "lag"),
             node_lag_gauge: metrics.gauge_labeled("repl", "node_lag", &[("node", &node)]),
             dropped_counter: metrics.counter("repl", "window_dropped"),
@@ -312,16 +290,17 @@ impl Replicator {
     }
 
     /// Registers `resource` as replicated to `follower` and schedules the
-    /// `ReplicaOpen*` request (delivered by the pump thread — the caller
-    /// may be the dispatcher, which must not block on its own peer RPC;
+    /// `ReplicaOpen*` request (delivered by the pump — the caller may be
+    /// the CLF receive thread, which must not block on its own peer RPC;
     /// `open` is also replayed if the follower later loses the replica).
-    pub fn track(&self, resource: ResourceId, follower: AsId, open: Request) {
+    pub fn track(self: &Arc<Self>, resource: ResourceId, follower: AsId, open: Request) {
         let mut st = self.state.lock();
         if st.incapable.contains(&follower) {
             return;
         }
         st.opens.push_back((follower, open.clone()));
         st.routes.insert(resource, Route { follower, open });
+        let kick = !std::mem::replace(&mut st.armed, true);
         drop(st);
         // Advertise the route for placement tooling (`dstampede-cli
         // placement` joins these against the name server's entries).
@@ -331,7 +310,12 @@ impl Replicator {
                 .gauge_labeled("repl", "follower", &[("resource", &resource.to_string())])
                 .set(i64::from(follower.0));
         }
-        self.wake.notify_one();
+        if kick {
+            self.kick();
+        } else {
+            // A lingering pump ships opens without waiting out the linger.
+            self.wake.notify_one();
+        }
     }
 
     /// The follower for `resource`, if it is being replicated.
@@ -360,14 +344,14 @@ impl Replicator {
         self.state.lock().window.len()
     }
 
-    /// True when nothing is buffered and the pump is between runs —
-    /// i.e. everything accepted so far has been shipped (or written
-    /// off). `lag() == 0` alone only means the window was *drained*;
-    /// the batch may still be in flight to the follower.
+    /// True when nothing is buffered and no ship round is pending or
+    /// running — i.e. everything accepted so far has been shipped (or
+    /// written off), floors included. `lag() == 0` alone only means the
+    /// window was *drained*; the batch may still be in flight to the
+    /// follower.
     #[must_use]
     pub fn quiesced(&self) -> bool {
-        let st = self.state.lock();
-        st.window.is_empty() && st.opens.is_empty() && !st.busy
+        !self.state.lock().armed
     }
 
     /// The put-hook entry: buffers an accepted put for replication.
@@ -377,7 +361,7 @@ impl Replicator {
     /// Hooks only exist on containers the placed-create path routed, so
     /// no route lookup happens here — [`Replicator::ship`] discards the
     /// rare event whose route was retired (downgrade) after buffering.
-    pub fn enqueue(&self, ev: PutEvent) {
+    pub fn enqueue(self: &Arc<Self>, ev: PutEvent) {
         let mut st = self.state.lock();
         st.window.push_back(Pending {
             resource: ev.resource,
@@ -390,13 +374,15 @@ impl Replicator {
             self.dropped_counter.inc();
         }
         let lag = st.window.len() as i64;
+        let kick = !std::mem::replace(&mut st.armed, true);
         drop(st);
-        // No pump wakeup: the pump is clocked by its own linger tick,
-        // so a producer is never preempted by the thread it just fed
-        // (a wake-from-sleep here reliably preempts the putter on
-        // core-starved machines). Gauge publication is throttled to
-        // transitions — the pump republishes on every ship, and the
-        // recorder samples coarser than that anyway.
+        // Only the put that finds the pump idle wakes it; puts during
+        // its linger or ship round ride along. Gauge publication is
+        // throttled to transitions — the pump republishes on every
+        // ship, and the recorder samples coarser than that anyway.
+        if kick {
+            self.kick();
+        }
         if lag == 1 {
             self.publish_lag(1);
         } else if lag & 0x3ff == 0 {
@@ -404,54 +390,100 @@ impl Replicator {
         }
     }
 
-    /// Stops the pump thread (idempotent). Buffered events are dropped.
+    /// The garbage-hook entry of a replicated queue: an item was
+    /// consumed, so the follower may prune further. Ships a floor-only
+    /// `ReplicatePut` in the next round if no put carries it first.
+    pub fn note_floor(self: &Arc<Self>, resource: ResourceId) {
+        let mut st = self.state.lock();
+        if !st.floors.insert(resource) {
+            return;
+        }
+        let kick = !std::mem::replace(&mut st.armed, true);
+        drop(st);
+        if kick {
+            self.kick();
+        }
+    }
+
+    /// Starts a ship round for an idle replicator.
+    fn kick(self: &Arc<Self>) {
+        match &self.reactor {
+            None => self.wake.notify_one(),
+            Some(reactor) => {
+                let r = reactor.clone();
+                let repl = Arc::clone(self);
+                reactor.spawn(async move {
+                    r.sleep(REPLICATE_LINGER).await;
+                    if !repl.down.load(Ordering::SeqCst) {
+                        drop(r.run_blocking("repl-ship", move || repl.drain()));
+                    }
+                });
+            }
+        }
+    }
+
+    /// Stops the pump (idempotent). Buffered events are dropped.
     pub fn stop(&self) {
         self.down.store(true, Ordering::SeqCst);
         self.wake.notify_all();
         if let Some(handle) = self.worker.lock().take() {
             let _ = handle.join();
         }
-        if let Some(p) = self.periodic.lock().take() {
-            p.cancel();
-        }
     }
 
+    /// The pump thread: sleeps until work arrives, lingers so a partial
+    /// batch can fill (cut short by a full batch, opens, or stop), then
+    /// ships until everything is drained.
     fn pump(self: &Arc<Self>) {
         loop {
-            let (opens, batch): (Vec<(AsId, Request)>, Vec<Pending>) = {
+            {
                 let mut st = self.state.lock();
-                // The pump is clocked by the linger tick, not by
-                // per-put wakeups: whatever accumulated over the last
-                // tick ships as one run of full-as-possible batches,
-                // and a backlog of a batch or more loops back without
-                // sleeping. Only `track` (opens) and `stop` notify.
+                while !st.armed && !self.down.load(Ordering::SeqCst) {
+                    self.wake.wait(&mut st);
+                }
+                let until = std::time::Instant::now() + REPLICATE_LINGER;
                 while st.window.len() < REPLICATE_BATCH
                     && st.opens.is_empty()
                     && !self.down.load(Ordering::SeqCst)
                 {
-                    let timed_out = self
-                        .wake
-                        .wait_until(&mut st, std::time::Instant::now() + REPLICATE_LINGER)
-                        .timed_out();
-                    if timed_out && !st.window.is_empty() {
+                    if self.wake.wait_until(&mut st, until).timed_out() {
                         break;
                     }
                 }
-                if self.down.load(Ordering::SeqCst) {
+            }
+            if self.down.load(Ordering::SeqCst) {
+                return;
+            }
+            self.drain();
+        }
+    }
+
+    /// One ship round: batches until the window, opens and floors are
+    /// empty, then disarms — atomically with the emptiness check, so
+    /// work arriving afterwards kicks a new round.
+    fn drain(self: &Arc<Self>) {
+        loop {
+            let (opens, batch, floors) = {
+                let mut st = self.state.lock();
+                if self.down.load(Ordering::SeqCst)
+                    || (st.window.is_empty() && st.opens.is_empty() && st.floors.is_empty())
+                {
+                    st.armed = false;
+                    let lag = st.window.len() as i64;
+                    drop(st);
+                    self.publish_lag(lag);
                     return;
                 }
                 let n = st.window.len().min(REPLICATE_BATCH);
-                st.busy = true;
-                (st.opens.drain(..).collect(), st.window.drain(..n).collect())
+                (
+                    st.opens.drain(..).collect::<Vec<_>>(),
+                    st.window.drain(..n).collect::<Vec<_>>(),
+                    st.floors.drain().collect::<Vec<_>>(),
+                )
             };
             self.deliver_opens(opens);
-            self.ship(batch);
-            let lag = {
-                let mut st = self.state.lock();
-                st.busy = false;
-                st.window.len() as i64
-            };
-            self.publish_lag(lag);
+            self.ship(batch, floors);
+            self.publish_lag(self.lag() as i64);
         }
     }
 
@@ -525,8 +557,9 @@ impl Replicator {
     }
 
     /// Groups a drained batch by resource and ships each group to its
-    /// follower, preserving per-resource order.
-    fn ship(self: &Arc<Self>, batch: Vec<Pending>) {
+    /// follower, preserving per-resource order; `floors` adds a
+    /// floor-only frame for each resource the batch does not cover.
+    fn ship(self: &Arc<Self>, batch: Vec<Pending>, floors: Vec<ResourceId>) {
         let Some(space) = self.space.upgrade() else {
             return;
         };
@@ -543,6 +576,11 @@ impl Replicator {
                 None => groups.push((p.resource, vec![item])),
             }
         }
+        for resource in floors {
+            if !groups.iter().any(|(r, _)| *r == resource) {
+                groups.push((resource, Vec::new()));
+            }
+        }
         for (resource, items) in groups {
             let n = items.len() as u64;
             let Some((follower, open)) = ({
@@ -553,13 +591,22 @@ impl Replicator {
             }) else {
                 continue; // route retired mid-flight
             };
+            // Computed now, after the batch was drained: every item in it
+            // is either still live (so above the floor) or consumed.
             let floor = match resource {
                 ResourceId::Channel(chan) => space
                     .registry()
                     .channel(chan)
                     .map(|c| c.gc_floor())
                     .unwrap_or(Timestamp::MIN),
-                ResourceId::Queue(_) => Timestamp::MIN,
+                // One below the lowest unconsumed item: several items
+                // may share a timestamp, and that one must stay.
+                ResourceId::Queue(q) => match space.registry().queue(q) {
+                    Ok(queue) => queue.lowest_unconsumed_ts().map_or(Timestamp::MAX, |ts| {
+                        Timestamp::new(ts.value().saturating_sub(1))
+                    }),
+                    Err(_) => Timestamp::MIN,
+                },
             };
             let req = Request::ReplicatePut {
                 resource,
@@ -692,6 +739,41 @@ mod tests {
             taken[0].1.items.keys().copied().collect::<Vec<_>>(),
             vec![3]
         );
+    }
+
+    #[test]
+    fn queue_floor_prunes_consumed_items_only() {
+        let q = ResourceId::Queue(dstampede_core::QueueId {
+            owner: AsId(3),
+            index: 0,
+        });
+        let store = ReplicaStore::default();
+        store.open(q, None, ReplicaAttrs::Queue(QueueAttrs::default()));
+        store
+            .append(
+                q,
+                Timestamp::MIN,
+                &[
+                    item(1, 0, b"a"),
+                    item(2, 0, b"b"),
+                    item(3, 0, b"c"),
+                    item(4, 0, b"d"),
+                ],
+            )
+            .unwrap();
+        // 1 and 2 consumed, 3 the lowest still unconsumed: the primary
+        // ships one below it, so 3 survives even if a consumed item
+        // shared its timestamp.
+        store.append(q, Timestamp::new(2), &[]).unwrap();
+        assert_eq!(store.snapshot(), vec![(q, AsId(3), 2)]);
+        // A later batch with a floor below items already held keeps them.
+        store
+            .append(q, Timestamp::new(2), &[item(5, 0, b"e")])
+            .unwrap();
+        assert_eq!(store.snapshot(), vec![(q, AsId(3), 3)]);
+        // Nothing unconsumed on the primary: the replica empties.
+        store.append(q, Timestamp::MAX, &[]).unwrap();
+        assert_eq!(store.snapshot(), vec![(q, AsId(3), 0)]);
     }
 
     #[test]

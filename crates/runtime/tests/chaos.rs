@@ -677,6 +677,116 @@ fn killed_primary_promotes_follower_and_drains_exactly_once() {
     cluster.shutdown();
 }
 
+/// Queue failover drill: part of a placed, replicated queue is consumed
+/// before its primary dies. The follower prunes its replica to the floor
+/// the primary ships after the consumes, so the promoted queue yields
+/// exactly the unconsumed items, in order — no consumed item comes back
+/// (exactly-once across failover), and with the replication window
+/// drained before the kill nothing unconsumed is lost.
+#[test]
+fn killed_primary_queue_promotes_only_unconsumed() {
+    use dstampede_core::ResourceId;
+
+    let plan = FaultPlan::new(1303);
+    let cluster = Cluster::builder()
+        .address_spaces(3)
+        .listeners(false)
+        .fault_plan(Arc::clone(&plan))
+        .failure_detection(fast_failure())
+        .rpc_config(fast_rpc())
+        .flight_recorder_off()
+        .build()
+        .unwrap();
+    let creator = cluster.space(0).unwrap();
+
+    // Place the queue off the name-server space, as in the channel drill.
+    let mut placed = None;
+    for i in 0..16 {
+        let id = creator
+            .create_queue_placed(Some(format!("jobs-{i}")), QueueAttrs::default())
+            .unwrap();
+        if id.owner != AsId(0) {
+            placed = Some(id);
+            break;
+        }
+    }
+    let queue = placed.expect("no name hashed off the name server in 16 tries");
+    let resource = ResourceId::Queue(queue);
+    let primary = queue.owner;
+    let primary_space = cluster.space(primary.0).unwrap();
+    let repl = primary_space.replicator().expect("primary must replicate");
+    let follower = repl
+        .follower_of(resource)
+        .expect("placed queue must have a follower");
+    let follower_space = cluster.space(follower.0).unwrap();
+    let outsider = Arc::clone(
+        cluster
+            .spaces()
+            .iter()
+            .find(|s| s.id() != primary && s.id() != follower)
+            .unwrap(),
+    );
+
+    // 40 jobs in; a worker on the creator takes and finishes 15.
+    let out = creator.open_queue(queue).unwrap().connect_output().unwrap();
+    for i in 0..40 {
+        out.put(
+            Timestamp::new(i),
+            Item::from_vec(vec![i as u8]),
+            WaitSpec::NonBlocking,
+        )
+        .unwrap();
+    }
+    let worker = creator.open_queue(queue).unwrap().connect_input().unwrap();
+    for i in 0..15 {
+        let (ts, _, ticket) = worker.get(WaitSpec::Forever).unwrap();
+        assert_eq!(ts, Timestamp::new(i));
+        worker.consume(ticket).unwrap();
+    }
+    // Drain the replication pipeline (puts and the consume floor): the
+    // follower's replica now holds exactly the unconsumed jobs.
+    assert!(
+        wait_for(Duration::from_secs(5), || repl.quiesced()),
+        "replication never quiesced"
+    );
+    let held = follower_space
+        .replicas()
+        .snapshot()
+        .into_iter()
+        .find(|(r, _, _)| *r == resource)
+        .map(|(_, _, n)| n);
+    assert_eq!(held, Some(25), "follower kept consumed items");
+
+    // kill -9 the primary; the follower promotes its replica.
+    plan.crash(primary);
+    assert!(
+        wait_for(Duration::from_secs(5), || follower_space
+            .promotion_of(resource)
+            .is_some()),
+        "follower never promoted the sealed replica"
+    );
+    assert!(
+        wait_for(Duration::from_secs(5), || outsider.is_peer_dead(primary)),
+        "outsider never declared the primary dead"
+    );
+
+    // A worker on the third space re-resolves through the failover
+    // pointer and drains exactly the 25 unconsumed jobs, in order.
+    let survivor = outsider.open_queue(queue).unwrap().connect_input().unwrap();
+    let mut seen = Vec::new();
+    while let Ok((ts, item, ticket)) = survivor.get(WaitSpec::NonBlocking) {
+        assert_eq!(item.payload(), &[ts.value() as u8]);
+        seen.push(ts.value());
+        survivor.consume(ticket).unwrap();
+    }
+    assert_eq!(
+        seen,
+        (15..40).collect::<Vec<_>>(),
+        "promoted queue re-delivered consumed jobs or lost unconsumed ones"
+    );
+    cluster.shutdown();
+}
+
 /// Health drill: a crashed peer's derived state walks
 /// `Healthy → Suspect → Dead` with hysteresis on the way up, a
 /// partitioned peer that recovers for a single tick does not flap back
