@@ -198,6 +198,7 @@ struct ObsHandles {
     coalesced: Arc<Histogram>,
     sack_sent: Arc<Counter>,
     sack_received: Arc<Counter>,
+    acks_piggybacked: Arc<Counter>,
     fast_retransmits: Arc<Counter>,
     batch_tx: Arc<Histogram>,
     batch_rx: Arc<Histogram>,
@@ -242,6 +243,7 @@ impl StatCounters {
             coalesced: registry.histogram_labeled("clf", "coalesced_frames", &labels),
             sack_sent: registry.counter_labeled("clf", "sack_frames_sent", &labels),
             sack_received: registry.counter_labeled("clf", "sack_frames_received", &labels),
+            acks_piggybacked: registry.counter_labeled("clf", "acks_piggybacked", &labels),
             fast_retransmits: registry.counter_labeled("clf", "sack_fast_retransmits", &labels),
             batch_tx: registry.histogram_labeled("clf", "batch_tx_datagrams", &labels),
             batch_rx: registry.histogram_labeled("clf", "batch_rx_datagrams", &labels),
@@ -316,7 +318,8 @@ impl StatCounters {
         }
     }
 
-    /// Records one selective-acknowledgment frame emitted toward a peer.
+    /// Records one standalone selective-acknowledgment frame emitted
+    /// toward a peer.
     pub(crate) fn note_sack_sent(&self) {
         if let Some(obs) = self.obs.get() {
             obs.sack_sent.inc();
@@ -329,6 +332,14 @@ impl StatCounters {
         self.sack_frames.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = self.obs.get() {
             obs.sack_received.inc();
+        }
+    }
+
+    /// Records one owed acknowledgment that rode outgoing DATA instead
+    /// of a standalone frame (UDP backend).
+    pub(crate) fn note_ack_piggybacked(&self) {
+        if let Some(obs) = self.obs.get() {
+            obs.acks_piggybacked.inc();
         }
     }
 
@@ -524,6 +535,7 @@ mod tests {
         c.note_backpressure();
         c.note_sack_sent();
         c.note_sack_received();
+        c.note_ack_piggybacked();
         c.note_fast_retransmit();
         c.note_batch_tx(4);
         c.note_batch_rx(6);
@@ -549,6 +561,7 @@ mod tests {
         assert_eq!(co.sum, 3);
         assert_eq!(snap.counter_value("clf", "sack_frames_sent"), Some(1));
         assert_eq!(snap.counter_value("clf", "sack_frames_received"), Some(1));
+        assert_eq!(snap.counter_value("clf", "acks_piggybacked"), Some(1));
         assert_eq!(snap.counter_value("clf", "sack_fast_retransmits"), Some(1));
         let bt = snap
             .histogram("clf", "batch_tx_datagrams")

@@ -9,11 +9,18 @@
 //! * messages are fragmented into DATA packets of at most
 //!   [`UdpConfig::frag_payload`] bytes, each carrying a per-peer sequence
 //!   number and an end-of-message flag;
-//! * the receiver reorders out-of-order packets, drops duplicates,
-//!   reassembles in-order fragments into messages, and acknowledges once
-//!   per received burst with a cumulative-ack + SACK-bitmap frame
-//!   (encoded with the `dstampede-wire` codecs), so the sender learns
-//!   exactly which packets are holes;
+//! * the receiver reorders out-of-order packets, drops duplicates and
+//!   reassembles in-order fragments into messages;
+//! * acknowledgments cost no datagram of their own when traffic flows
+//!   both ways: every DATA datagram carries the sender's cumulative ack
+//!   for the receiving peer in a trailer. A lone in-order packet's ack is
+//!   held up to [`ACK_DELAY`](crate::window::ACK_DELAY) for such a ride
+//!   before it leaves as a standalone cumulative-ack + SACK-bitmap frame
+//!   (encoded with the `dstampede-wire` codecs); a hole, a duplicate or a
+//!   second unacked packet is acknowledged at once, so the sender learns
+//!   exactly which packets are holes, and bulk bursts are acked once per
+//!   burst. Every ack reports how long it was held, and the sender takes
+//!   that off its RTT samples;
 //! * the sender keeps at most [`UdpConfig::window_bytes`] in flight,
 //!   staging the rest ([`ClfError::Backpressure`] only fires when the
 //!   packet window [`UdpConfig::max_unacked`] is genuinely full),
@@ -49,9 +56,10 @@
 //!
 //! Interoperability is negotiated in band: a SACK-capable sender flags
 //! its DATA packets, a SACK-capable receiver answers flagged DATA with
-//! SACK frames, and either side silently falls back to the legacy
-//! per-datagram cumulative-ACK exchange when the flag is absent (old
-//! decoders ignore unknown flag bits and unknown packet kinds). The
+//! SACK frames and piggybacked acks, and either side silently falls back
+//! to the legacy immediate per-datagram cumulative-ACK exchange when the
+//! flag is absent (old decoders ignore unknown flag bits and unknown
+//! packet kinds); a legacy peer is never sent an ack trailer. The
 //! fallback can be forced per peer with
 //! [`ClfTransport::set_peer_sack`].
 //!
@@ -91,7 +99,16 @@ const FLAG_EOM: u8 = 1;
 /// Legacy receivers ignore unknown flag bits and keep sending
 /// per-datagram cumulative ACKs, which a SACK sender still understands.
 const FLAG_SACK: u8 = 2;
+/// DATA flag: an ack trailer `[u64 ack_next][u32 hold µs]` follows the
+/// header — the sender's cumulative ack for the receiving peer and how
+/// long it held that ack. Only SACK peers are sent it.
+const FLAG_ACK: u8 = 4;
+/// SACK flag (in the header's flags byte): the codec body is followed by
+/// a `[u32 hold µs]` trailer.
+const FLAG_HOLD: u8 = 1;
 const HEADER_LEN: usize = 2 + 1 + 1 + 2 + 8;
+const HOLD_LEN: usize = 4;
+const ACK_TRAILER_LEN: usize = 8 + HOLD_LEN;
 
 /// Largest datagram the coalescer will assemble (safely under the 65,507
 /// byte UDP payload limit).
@@ -218,14 +235,35 @@ impl Packet {
         HEADER_LEN + self.payload.iter().map(Bytes::len).sum::<usize>()
     }
 
-    /// Gathers header and payload segments into `out` — the single
-    /// user-space copy on the transmit path.
-    fn gather_into(&self, out: &mut Vec<u8>) {
+    /// Gathers header, optional ack trailer and payload segments into
+    /// `out` — the single user-space copy on the transmit path.
+    fn gather_into(&self, out: &mut Vec<u8>, ack: Option<&AckTrailer>) {
+        let flags_at = out.len() + 3;
         out.extend_from_slice(&self.header);
+        if let Some(trailer) = ack {
+            out[flags_at] |= FLAG_ACK;
+            out.extend_from_slice(trailer);
+        }
         for seg in &self.payload {
             out.extend_from_slice(seg);
         }
     }
+}
+
+/// The piggybacked-ack trailer of a DATA packet.
+type AckTrailer = [u8; ACK_TRAILER_LEN];
+
+/// A hold as it travels on the wire: whole microseconds, saturating.
+fn hold_wire(hold: Duration) -> [u8; HOLD_LEN] {
+    u32::try_from(hold.as_micros())
+        .unwrap_or(u32::MAX)
+        .to_be_bytes()
+}
+
+fn hold_from_wire(b: &[u8]) -> Duration {
+    Duration::from_micros(u64::from(u32::from_be_bytes(
+        b.try_into().expect("hold is 4 bytes"),
+    )))
 }
 
 /// Send-side state for one peer.
@@ -274,8 +312,29 @@ impl PeerTx {
 struct PeerRx {
     win: RecvWindow,
     /// Whether the peer's latest DATA carried [`FLAG_SACK`] — answer
-    /// with SACK frames instead of legacy cumulative ACKs.
+    /// with SACK frames and piggybacked acks instead of legacy
+    /// cumulative ACKs.
     sack_reply: bool,
+}
+
+impl PeerRx {
+    /// Stamps the ack trailer for a DATA datagram leaving toward this
+    /// peer now, settling any owed ack. `None` for a legacy peer, and
+    /// while holes are open: the sender then needs the SACK bitmap,
+    /// which goes out standalone.
+    fn piggyback(&mut self, now: Instant, stats: &StatCounters) -> Option<AckTrailer> {
+        if !self.sack_reply || self.win.has_holes() {
+            return None;
+        }
+        if self.win.ack_deadline().is_some() {
+            stats.note_ack_piggybacked();
+        }
+        let hold = self.win.take_ack(now);
+        let mut trailer = [0u8; ACK_TRAILER_LEN];
+        trailer[..8].copy_from_slice(&self.win.ack_next().to_be_bytes());
+        trailer[8..].copy_from_slice(&hold_wire(hold));
+        Some(trailer)
+    }
 }
 
 struct Shared {
@@ -474,6 +533,17 @@ impl UdpEndpoint {
         self.shared.lock().peers.insert(peer, addr);
     }
 
+    /// Packets sent to `peer` and not yet acknowledged, staged ones
+    /// included: zero once the peer has acknowledged everything.
+    #[must_use]
+    pub fn unacked_packets(&self, peer: AsId) -> usize {
+        self.shared
+            .lock()
+            .tx
+            .get(&peer)
+            .map_or(0, |tx| tx.win.window_used())
+    }
+
     fn should_suppress(&self) -> bool {
         match self.config.loss {
             LossInjection::DropEveryNth(n) => {
@@ -536,22 +606,25 @@ fn encode_ack(src: AsId, cum_ack: u64) -> Vec<u8> {
     pkt
 }
 
-/// Builds a SACK datagram: the CLF header (its seq field mirrors
-/// `ack_next` for cheap inspection) followed by the codec-encoded SACK
-/// body — the same bytes either `dstampede-wire` codec round-trips, so
-/// the protocol suite can cross-check the transport against the codecs.
-fn encode_sack_datagram(src: AsId, sack: &SackInfo) -> Vec<u8> {
+/// Builds a standalone SACK datagram: the CLF header (its seq field
+/// mirrors `ack_next` for cheap inspection, its flags byte announces the
+/// hold trailer) followed by the codec-encoded SACK body — the same
+/// bytes either `dstampede-wire` codec round-trips, so the protocol
+/// suite can cross-check the transport against the codecs — and the
+/// hold.
+fn encode_sack_datagram(src: AsId, sack: &SackInfo, hold: Duration) -> Vec<u8> {
     let body = XdrCodec::new()
         .encode_sack(sack)
         .expect("receive-window bitmap is bounded")
         .to_bytes();
-    let mut pkt = Vec::with_capacity(HEADER_LEN + body.len());
+    let mut pkt = Vec::with_capacity(HEADER_LEN + body.len() + HOLD_LEN);
     pkt.extend_from_slice(&MAGIC.to_be_bytes());
     pkt.push(KIND_SACK);
-    pkt.push(0);
+    pkt.push(FLAG_HOLD);
     pkt.extend_from_slice(&src.0.to_be_bytes());
     pkt.extend_from_slice(&sack.ack_next.to_be_bytes());
     pkt.extend_from_slice(&body);
+    pkt.extend_from_slice(&hold_wire(hold));
     pkt
 }
 
@@ -560,13 +633,19 @@ struct Parsed {
     flags: u8,
     src: AsId,
     seq: u64,
+    /// A DATA packet's piggybacked cumulative ack (`ack_next`).
+    ack: Option<u64>,
+    /// How long the ack this packet carries was held (zero if unsaid).
+    hold: Duration,
     payload: Bytes,
 }
 
-/// Parses the packet at `datagram[start..end]`. Payloads at or above
-/// [`VIEW_THRESHOLD`] are returned as slice views into the datagram;
-/// smaller ones are copied out so the receive buffer stays reclaimable.
-fn parse(datagram: &Bytes, start: usize, end: usize) -> Option<Parsed> {
+/// Parses the packet at `datagram[start..end]`, splitting off an ack or
+/// hold trailer its flags announce; a packet too short for the trailer
+/// is dropped. Payloads at or above [`VIEW_THRESHOLD`] are returned as
+/// slice views into the datagram; smaller ones are copied out so the
+/// receive buffer stays reclaimable.
+fn parse(datagram: &Bytes, start: usize, mut end: usize) -> Option<Parsed> {
     let pkt = &datagram[start..end];
     if pkt.len() < HEADER_LEN {
         return None;
@@ -574,35 +653,86 @@ fn parse(datagram: &Bytes, start: usize, end: usize) -> Option<Parsed> {
     if u16::from_be_bytes([pkt[0], pkt[1]]) != MAGIC {
         return None;
     }
-    let payload_len = end - start - HEADER_LEN;
-    let payload = if payload_len >= VIEW_THRESHOLD {
-        datagram.slice(start + HEADER_LEN..end)
+    let (kind, flags) = (pkt[2], pkt[3]);
+    let mut body = start + HEADER_LEN;
+    let (mut ack, mut hold) = (None, Duration::ZERO);
+    if kind == KIND_DATA && flags & FLAG_ACK != 0 {
+        if body + ACK_TRAILER_LEN > end {
+            return None;
+        }
+        let t = &datagram[body..body + ACK_TRAILER_LEN];
+        ack = Some(u64::from_be_bytes(t[..8].try_into().expect("8 bytes")));
+        hold = hold_from_wire(&t[8..]);
+        body += ACK_TRAILER_LEN;
+    } else if kind == KIND_SACK && flags & FLAG_HOLD != 0 {
+        end = end.checked_sub(HOLD_LEN).filter(|&e| e >= body)?;
+        hold = hold_from_wire(&datagram[end..end + HOLD_LEN]);
+    }
+    let payload = if end - body >= VIEW_THRESHOLD {
+        datagram.slice(body..end)
     } else {
-        Bytes::copy_from_slice(&pkt[HEADER_LEN..])
+        Bytes::copy_from_slice(&datagram[body..end])
     };
     Some(Parsed {
-        kind: pkt[2],
-        flags: pkt[3],
+        kind,
+        flags,
         src: AsId(u16::from_be_bytes([pkt[4], pkt[5]])),
         seq: u64::from_be_bytes(pkt[6..14].try_into().expect("8 bytes")),
+        ack,
+        hold,
         payload,
     })
 }
 
+/// Calls `f` for every packet in the first `len` bytes of a received
+/// datagram — a bare packet or a coalesced container. Bytes past `len`
+/// are stale leftovers of the recycled receive slot and never read.
+fn for_each_packet(datagram: &Bytes, len: usize, mut f: impl FnMut(Parsed)) {
+    if len < 2 || len > datagram.len() {
+        return;
+    }
+    match u16::from_be_bytes([datagram[0], datagram[1]]) {
+        MAGIC => {
+            if let Some(p) = parse(datagram, 0, len) {
+                f(p);
+            }
+        }
+        COALESCE_MAGIC => {
+            let mut off = 2;
+            while off + 2 <= len {
+                let n = usize::from(u16::from_be_bytes([datagram[off], datagram[off + 1]]));
+                off += 2;
+                if off + n > len {
+                    break;
+                }
+                if let Some(p) = parse(datagram, off, off + n) {
+                    f(p);
+                }
+                off += n;
+            }
+        }
+        _ => {}
+    }
+}
+
 /// Packs `packets` for one peer into datagrams, as many per datagram as
 /// fit. A datagram carrying a single packet uses the bare packet format;
-/// several packets use the coalesced container.
+/// several packets use the coalesced container. The first packet of
+/// every datagram carries `ack`, when given.
 fn assemble(
     addr: SocketAddr,
     packets: &[Packet],
+    ack: Option<AckTrailer>,
     grams: &mut Vec<OutDatagram>,
     stats: &StatCounters,
 ) {
+    let trailer_len = if ack.is_some() { ACK_TRAILER_LEN } else { 0 };
     let mut i = 0;
     while i < packets.len() {
         let mut j = i + 1;
-        let mut size = 2 + 2 + packets[i].wire_len();
-        if packets[i].wire_len() <= usize::from(u16::MAX) {
+        let first_len = packets[i].wire_len() + trailer_len;
+        let mut size = 2 + 2 + first_len;
+        if first_len <= usize::from(u16::MAX) {
             while j < packets.len() {
                 let w = packets[j].wire_len();
                 if w > usize::from(u16::MAX) || size + 2 + w > MAX_DATAGRAM {
@@ -614,13 +744,18 @@ fn assemble(
         }
         let mut buf = Vec::with_capacity(size);
         if j - i == 1 {
-            packets[i].gather_into(&mut buf);
+            packets[i].gather_into(&mut buf, ack.as_ref());
         } else {
             buf.extend_from_slice(&COALESCE_MAGIC.to_be_bytes());
-            for pkt in &packets[i..j] {
-                let len = u16::try_from(pkt.wire_len()).expect("coalesced packet fits u16");
+            for (k, pkt) in packets[i..j].iter().enumerate() {
+                let (trailer, extra) = if k == 0 {
+                    (ack.as_ref(), trailer_len)
+                } else {
+                    (None, 0)
+                };
+                let len = u16::try_from(pkt.wire_len() + extra).expect("coalesced packet fits u16");
                 buf.extend_from_slice(&len.to_be_bytes());
-                pkt.gather_into(&mut buf);
+                pkt.gather_into(&mut buf, trailer);
             }
         }
         grams.push(OutDatagram { addr, buf });
@@ -674,21 +809,29 @@ struct PumpCtx<'a> {
     loss: &'a Mutex<LossState>,
 }
 
-/// The pump: receive a burst, update protocol state, send acks and
-/// whatever the windows admit, then hand the burst's completed messages
-/// to the handler. Acks go out before the handler runs so a slow
-/// handler never delays the peer's window. `tick` is the socket read
-/// timeout; a handler deadline due sooner bounds the wait instead.
+/// The pump: receive a burst, update protocol state, send urgent acks
+/// and whatever the windows admit, then hand the burst's completed
+/// messages to the handler. A lone packet's ack is decided only after
+/// the handler ran, so a reply it sends inline carries the ack; an ack
+/// still owed leaves standalone when its deadline passes. `tick` is the
+/// socket read timeout; a handler or owed-ack deadline due sooner bounds
+/// the wait instead. Only this thread creates owed acks, so the bound
+/// it computes is never too late.
 fn pump_loop(ctx: &PumpCtx<'_>, closed: &AtomicBool, tick: Duration) {
     let batch = ctx.config.batch.max(1);
     let mut bufs: Vec<Vec<u8>> = (0..batch).map(|_| vec![0u8; RECV_BUF]).collect();
     let mut results: Vec<(usize, SocketAddr)> = Vec::new();
     let mut grams: Vec<OutDatagram> = Vec::new();
-    let mut dirty: Vec<AsId> = Vec::new();
     let mut completed: Vec<(AsId, Bytes)> = Vec::new();
     let mut last_scan = Instant::now();
+    let mut ack_due: Option<Instant> = None;
     while !closed.load(Ordering::Acquire) {
-        let due_first = ctx.delivery.tick().filter(|d| *d < tick);
+        let ack_wait = ack_due.map(|t| t.saturating_duration_since(Instant::now()));
+        let due_first = [ctx.delivery.tick(), ack_wait]
+            .into_iter()
+            .flatten()
+            .min()
+            .filter(|d| *d < tick);
         let readable = due_first.is_none_or(|d| udp_sys::wait_readable(ctx.socket, d));
         let received = if readable {
             udp_sys::recv_burst(ctx.socket, &mut bufs, &mut results)
@@ -706,38 +849,31 @@ fn pump_loop(ctx: &PumpCtx<'_>, closed: &AtomicBool, tick: Duration) {
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
             Err(_) => break,
         }
-        dirty.clear();
+        let now = Instant::now();
         for k in 0..results.len() {
             let (len, from_addr) = results[k];
-            if !(2..=RECV_BUF).contains(&len) {
-                continue;
-            }
-            // Freeze the burst slot into `Bytes` so payload views can
-            // borrow it; reclaim the allocation when nothing does.
-            let mut buf = std::mem::take(&mut bufs[k]);
-            buf.truncate(len);
-            let datagram = Bytes::from(buf);
-            process_datagram(ctx, &datagram, from_addr, &mut dirty, &mut completed);
-            bufs[k] = match datagram.try_into_vec() {
-                Ok(mut v) => {
-                    v.resize(RECV_BUF, 0);
-                    v
-                }
-                Err(_) => vec![0u8; RECV_BUF],
-            };
+            // Freeze the whole slot into `Bytes` so payload views can
+            // borrow it; packets are parsed within the received length,
+            // and the slot is reclaimed at full length, unzeroed, when
+            // nothing borrows it.
+            let datagram = Bytes::from(std::mem::take(&mut bufs[k]));
+            for_each_packet(&datagram, len, |p| {
+                handle_packet(ctx, p, from_addr, now, &mut completed);
+            });
+            bufs[k] = datagram
+                .try_into_vec()
+                .unwrap_or_else(|_| vec![0u8; RECV_BUF]);
         }
         results.clear();
-        let now = Instant::now();
         let scan = now.duration_since(last_scan) >= MIN_RTO;
         if scan {
             last_scan = now;
         }
-        collect_outgoing(
+        ack_due = collect_outgoing(
             ctx.local,
             &ctx.config,
             ctx.stats,
             ctx.shared,
-            &dirty,
             scan,
             now,
             &mut grams,
@@ -747,46 +883,23 @@ fn pump_loop(ctx: &PumpCtx<'_>, closed: &AtomicBool, tick: Duration) {
     }
 }
 
-/// One pass over protocol state after a receive burst: acknowledge every
-/// peer that sent DATA (once per burst, not once per packet), flush
-/// fast retransmissions and deferred packets the window or pacer now
-/// admits, and run the timeout scan when due.
-#[allow(clippy::too_many_arguments)]
+/// One pass over protocol state: flush fast retransmissions and
+/// deferred packets the window or pacer now admits — each datagram
+/// carrying the peer's ack — run the timeout scan when due, and send the
+/// acks now due: standalone SACKs whose deadline passed, and a legacy
+/// cumulative ACK to every legacy peer that sent DATA. Returns the
+/// earliest deadline of an ack still owed.
 fn collect_outgoing(
     local: AsId,
     config: &UdpConfig,
     stats: &StatCounters,
     shared: &Mutex<Shared>,
-    dirty: &[AsId],
     scan: bool,
     now: Instant,
     grams: &mut Vec<OutDatagram>,
-) {
+) -> Option<Instant> {
     let mut st = shared.lock();
     let st = &mut *st;
-    for peer in dirty {
-        let Some(&addr) = st.peers.get(peer) else {
-            continue;
-        };
-        let Some(rx) = st.rx.get(peer) else {
-            continue;
-        };
-        if config.sack && rx.sack_reply {
-            grams.push(OutDatagram {
-                addr,
-                buf: encode_sack_datagram(local, &rx.win.sack()),
-            });
-            stats.note_sack_sent();
-        } else {
-            let next = rx.win.ack_next();
-            if next > 0 {
-                grams.push(OutDatagram {
-                    addr,
-                    buf: encode_ack(local, next - 1),
-                });
-            }
-        }
-    }
     let mut to_wire: Vec<Packet> = Vec::new();
     for (peer, tx) in st.tx.iter_mut() {
         let Some(&addr) = st.peers.get(peer) else {
@@ -813,64 +926,58 @@ fn collect_outgoing(
                 }
             }
         }
-        assemble(addr, &to_wire, grams, stats);
-    }
-}
-
-fn process_datagram(
-    ctx: &PumpCtx<'_>,
-    datagram: &Bytes,
-    from_addr: SocketAddr,
-    dirty: &mut Vec<AsId>,
-    completed: &mut Vec<(AsId, Bytes)>,
-) {
-    if datagram.len() < 2 {
-        return;
-    }
-    match u16::from_be_bytes([datagram[0], datagram[1]]) {
-        MAGIC => {
-            if let Some(p) = parse(datagram, 0, datagram.len()) {
-                handle_packet(ctx, p, from_addr, dirty, completed);
-            }
+        if to_wire.is_empty() {
+            continue;
         }
-        COALESCE_MAGIC => {
-            let mut off = 2;
-            while off + 2 <= datagram.len() {
-                let len = usize::from(u16::from_be_bytes([datagram[off], datagram[off + 1]]));
-                off += 2;
-                if off + len > datagram.len() {
-                    break;
-                }
-                if let Some(p) = parse(datagram, off, off + len) {
-                    handle_packet(ctx, p, from_addr, dirty, completed);
-                }
-                off += len;
-            }
-        }
-        _ => {}
+        let ack = if config.sack && !st.sack_disabled.contains(peer) {
+            st.rx.get_mut(peer).and_then(|rx| rx.piggyback(now, stats))
+        } else {
+            None
+        };
+        assemble(addr, &to_wire, ack, grams, stats);
     }
+    let mut next_due: Option<Instant> = None;
+    for (peer, rx) in st.rx.iter_mut() {
+        let Some(due) = rx.win.ack_deadline() else {
+            continue;
+        };
+        // Legacy peers are acked at once and never see a SACK frame.
+        let sack = config.sack && rx.sack_reply;
+        if sack && due > now {
+            next_due = Some(next_due.map_or(due, |t| t.min(due)));
+            continue;
+        }
+        let Some(&addr) = st.peers.get(peer) else {
+            continue;
+        };
+        let hold = rx.win.take_ack(now);
+        let buf = if sack {
+            stats.note_sack_sent();
+            encode_sack_datagram(local, &rx.win.sack(), hold)
+        } else if let Some(cum) = rx.win.ack_next().checked_sub(1) {
+            encode_ack(local, cum)
+        } else {
+            continue;
+        };
+        grams.push(OutDatagram { addr, buf });
+    }
+    next_due
 }
 
 fn handle_packet(
     ctx: &PumpCtx<'_>,
     p: Parsed,
     from_addr: SocketAddr,
-    dirty: &mut Vec<AsId>,
+    now: Instant,
     completed: &mut Vec<(AsId, Bytes)>,
 ) {
     match p.kind {
-        KIND_DATA => handle_data(ctx, p, from_addr, dirty, completed),
+        KIND_DATA => handle_data(ctx, p, from_addr, now, completed),
         KIND_ACK => {
             let mut st = ctx.shared.lock();
             if let Some(tx) = st.tx.get_mut(&p.src) {
-                let ev = tx.win.on_cum_ack(p.seq, Instant::now());
-                for s in &ev.samples {
-                    ctx.stats.note_rtt(*s);
-                }
-                if !ev.samples.is_empty() {
-                    ctx.stats.note_srtt(tx.win.rtt.srtt().unwrap_or_default());
-                }
-                tx.retarget_pacer(&ctx.config);
+                let ev = tx.win.on_cum_ack(p.seq, now);
+                note_sample(ctx, tx, ev.sample);
             }
         }
         KIND_SACK => {
@@ -878,33 +985,58 @@ fn handle_packet(
                 return;
             };
             ctx.stats.note_sack_received();
-            let sacked = sack.sacked_seqs();
             let mut st = ctx.shared.lock();
-            if let Some(tx) = st.tx.get_mut(&p.src) {
-                let ev = tx.win.on_sack(sack.ack_next, &sacked, Instant::now());
-                for s in &ev.samples {
-                    ctx.stats.note_rtt(*s);
-                }
-                if !ev.samples.is_empty() {
-                    ctx.stats.note_srtt(tx.win.rtt.srtt().unwrap_or_default());
-                }
-                for (_, pkt) in ev.fast_retransmits {
-                    ctx.stats.note_fast_retransmit();
-                    ctx.stats.note_retransmit();
-                    tx.pending_retx.push(pkt);
-                }
-                tx.retarget_pacer(&ctx.config);
-            }
+            fold_ack(
+                ctx,
+                &mut st,
+                p.src,
+                sack.ack_next,
+                &sack.sacked_seqs(),
+                p.hold,
+                now,
+            );
         }
         _ => {}
     }
+}
+
+/// Integrates a SACK or a piggybacked ack from `peer` into its send
+/// window, queueing any fast retransmissions for the next flush.
+fn fold_ack(
+    ctx: &PumpCtx<'_>,
+    st: &mut Shared,
+    peer: AsId,
+    ack_next: u64,
+    sacked: &[u64],
+    hold: Duration,
+    now: Instant,
+) {
+    let Some(tx) = st.tx.get_mut(&peer) else {
+        return;
+    };
+    let ev = tx.win.on_sack(ack_next, sacked, hold, now);
+    for (_, pkt) in ev.fast_retransmits {
+        ctx.stats.note_fast_retransmit();
+        ctx.stats.note_retransmit();
+        tx.pending_retx.push(pkt);
+    }
+    note_sample(ctx, tx, ev.sample);
+}
+
+/// Publishes the RTT sample an ack yielded and re-targets the pacer.
+fn note_sample(ctx: &PumpCtx<'_>, tx: &mut PeerTx, sample: Option<Duration>) {
+    if let Some(s) = sample {
+        ctx.stats.note_rtt(s);
+        ctx.stats.note_srtt(tx.win.rtt.srtt().unwrap_or_default());
+    }
+    tx.retarget_pacer(&ctx.config);
 }
 
 fn handle_data(
     ctx: &PumpCtx<'_>,
     p: Parsed,
     from_addr: SocketAddr,
-    dirty: &mut Vec<AsId>,
+    now: Instant,
     completed: &mut Vec<(AsId, Bytes)>,
 ) {
     let done;
@@ -912,17 +1044,18 @@ fn handle_data(
         let mut st = ctx.shared.lock();
         // Learn/refresh the peer's address from observed traffic.
         st.peers.insert(p.src, from_addr);
+        if let Some(ack_next) = p.ack {
+            fold_ack(ctx, &mut st, p.src, ack_next, &[], p.hold, now);
+        }
         let rx = st.rx.entry(p.src).or_default();
         rx.sack_reply = p.flags & FLAG_SACK != 0;
-        let ev = rx.win.insert(p.seq, p.flags & FLAG_EOM != 0, p.payload);
+        let ev = rx
+            .win
+            .insert(p.seq, p.flags & FLAG_EOM != 0, p.payload, now);
         if !ev.accepted {
             ctx.stats.note_duplicate();
         }
         done = ev.completed;
-    }
-    // Even a duplicate re-dirties the peer: its ack may have been lost.
-    if !dirty.contains(&p.src) {
-        dirty.push(p.src);
     }
     for msg in done {
         ctx.stats.note_received(msg.len());
@@ -976,7 +1109,18 @@ impl ClfTransport for UdpEndpoint {
             if self.config.coalesce_delay.is_zero() || tx.win.deferred_bytes() + 2 >= MAX_DATAGRAM {
                 let mut to_wire = Vec::new();
                 drain_transmittable(tx, now, &mut to_wire);
-                assemble(addr, &to_wire, &mut grams, &self.stats);
+                if !to_wire.is_empty() {
+                    // Stamped under the lock, at assembly: the ack is
+                    // current, never the one of an earlier staging.
+                    let ack = if sack {
+                        st.rx
+                            .get_mut(&dst)
+                            .and_then(|rx| rx.piggyback(now, &self.stats))
+                    } else {
+                        None
+                    };
+                    assemble(addr, &to_wire, ack, &mut grams, &self.stats);
+                }
                 if tx.win.deferred_len() == 0 {
                     tx.deferred_since = None;
                 } else if tx.deferred_since.is_none() {
@@ -1022,8 +1166,8 @@ impl ClfTransport for UdpEndpoint {
     }
 
     /// One wheel-clocked pass over timed protocol state: the
-    /// retransmission scan plus any deferred/aged coalesce batches the
-    /// window or pacer now admits. Safe alongside the pump thread — the
+    /// retransmission scan, any deferred/aged coalesce batches the
+    /// window or pacer now admits, and owed acks now due. Safe alongside the pump thread — the
     /// shared lock serializes protocol mutation, and concurrent sends on
     /// the same socket are fine.
     fn housekeep(&self) {
@@ -1036,7 +1180,6 @@ impl ClfTransport for UdpEndpoint {
             &self.config,
             &self.stats,
             &self.shared,
-            &[],
             true,
             Instant::now(),
             &mut grams,
@@ -1411,6 +1554,62 @@ mod tests {
         a.send_segments(AsId(1), &segs).unwrap();
         let (_, msg) = b.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(&msg[..], b"alpha-beta-and-more-gamma");
+    }
+
+    #[test]
+    fn recycled_slot_parses_only_the_received_length() {
+        let data = |seq: u64, payload: &[u8]| {
+            let mut pkt = Packet::data(AsId(3), seq, true, true, vec![])
+                .header
+                .to_vec();
+            pkt.extend_from_slice(payload);
+            pkt
+        };
+        let payloads = |datagram: &Bytes, len: usize| {
+            let mut out = Vec::new();
+            for_each_packet(datagram, len, |p| out.push((p.seq, p.payload)));
+            out
+        };
+        let mut slot = vec![0u8; RECV_BUF];
+        let long = data(0, &[0xAA; 1000]);
+        slot[..long.len()].copy_from_slice(&long);
+        let datagram = Bytes::from(slot);
+        let got = payloads(&datagram, long.len());
+        assert_eq!(got.len(), 1);
+        assert_eq!(&got[0].1[..], &[0xAA; 1000][..]);
+        drop(got);
+        // The slot comes back at full length, not zeroed: the short
+        // datagram lands on top of the long one's bytes.
+        let mut slot = datagram.try_into_vec().expect("no view outlives the parse");
+        assert_eq!(slot.len(), RECV_BUF);
+        let short = data(1, b"hi");
+        slot[..short.len()].copy_from_slice(&short);
+        let datagram = Bytes::from(slot);
+        let got = payloads(&datagram, short.len());
+        assert_eq!(got.len(), 1);
+        assert_eq!(
+            (got[0].0, &got[0].1[..]),
+            (1, &b"hi"[..]),
+            "stale bytes leaked"
+        );
+    }
+
+    #[test]
+    fn one_slot_carries_a_long_then_a_short_message() {
+        let (a, b) = pair(UdpConfig {
+            batch: 1,
+            ..UdpConfig::default()
+        });
+        a.send(AsId(1), Bytes::from(vec![7u8; 5000])).unwrap();
+        a.send(AsId(1), Bytes::from_static(b"short")).unwrap();
+        assert_eq!(
+            &b.recv_timeout(Duration::from_secs(2)).unwrap().1[..],
+            &[7u8; 5000][..]
+        );
+        assert_eq!(
+            &b.recv_timeout(Duration::from_secs(2)).unwrap().1[..],
+            b"short"
+        );
     }
 
     #[test]

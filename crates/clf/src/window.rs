@@ -21,6 +21,15 @@
 //! * **acked** — cumulatively or selectively acknowledged and dropped.
 //!   A selectively acknowledged packet is forgotten immediately (the
 //!   receiver never renegs), so retransmissions only ever cover holes.
+//!
+//! The receive window also decides *when* to acknowledge. A lone
+//! in-order packet's ack is owed, not sent: it may ride the next DATA
+//! toward the peer or leave on its own once [`ACK_DELAY`] expires
+//! ([`RecvWindow::ack_deadline`]). A duplicate, a hole, or a second
+//! unacked packet makes the ack due at once. Every ack reports its
+//! *hold* ([`RecvWindow::take_ack`]) and the sender subtracts it from
+//! the round trips that ack yields, so RTT samples measure the path and
+//! not the receiver's delay.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -38,6 +47,14 @@ pub const MAX_RTO: Duration = Duration::from_secs(60);
 /// reports distinguish a real loss from plain reordering, mirroring
 /// TCP's duplicate-ACK threshold scaled to per-burst SACK cadence.
 pub const DUP_SACK_THRESHOLD: u32 = 2;
+
+/// How long a receiver may hold the acknowledgment of a lone in-order
+/// packet, waiting for reverse DATA to carry it (TCP's delayed ACK,
+/// QUIC's `max_ack_delay`). A fifth of [`MIN_RTO`], so the hold alone
+/// never reaches the sender's retransmission timeout.
+pub const ACK_DELAY: Duration = Duration::from_millis(1);
+
+const _: () = assert!(ACK_DELAY.as_nanos() * 2 < MIN_RTO.as_nanos());
 
 /// Jacobson/Karels retransmission-timeout estimation (RFC 6298 shape).
 #[derive(Debug, Clone, Copy)]
@@ -155,9 +172,9 @@ pub struct Transmit<P> {
 pub struct AckEvent<P> {
     /// Packets newly removed from the window.
     pub newly_acked: usize,
-    /// Clean round-trip samples folded into the estimator (Karn's rule
-    /// already applied), for telemetry.
-    pub samples: Vec<Duration>,
+    /// The clean round-trip sample folded into the estimator, if the
+    /// ack yielded one (see [`SendWindow::on_sack`]), for telemetry.
+    pub sample: Option<Duration>,
     /// Hole packets to fast-retransmit right now: each was reported
     /// missing by [`DUP_SACK_THRESHOLD`] successive SACKs while packets
     /// sent after it arrived.
@@ -311,46 +328,50 @@ impl<P> SendWindow<P> {
         })
     }
 
-    /// Removes one acked slot, harvesting its RTT sample if clean.
-    fn ack_one(&mut self, seq: u64, now: Instant, samples: &mut Vec<Duration>) -> bool {
-        match self.unacked.remove(&seq) {
-            Some(slot) => {
-                self.in_flight_bytes -= slot.wire_len;
-                if !slot.retransmitted {
-                    samples.push(now.duration_since(slot.sent_at));
-                }
-                true
+    /// Removes the acked slots among `seqs` and settles the RTT
+    /// estimate. Only the newest packet acked yields a sample (QUIC's
+    /// largest-acknowledged rule), and only if it was never retransmitted
+    /// (Karn's rule): the `hold` the receiver reports is exact for it,
+    /// while an older packet's round trip also holds the wait for the
+    /// newer one. When the window advanced without a clean sample, the
+    /// backoff is shed instead.
+    fn ack_all(
+        &mut self,
+        seqs: impl IntoIterator<Item = u64>,
+        hold: Duration,
+        now: Instant,
+    ) -> (usize, Option<Duration>) {
+        let mut newly_acked = 0;
+        let mut newest: Option<(u64, Slot<P>)> = None;
+        for seq in seqs {
+            let Some(slot) = self.unacked.remove(&seq) else {
+                continue;
+            };
+            self.in_flight_bytes -= slot.wire_len;
+            newly_acked += 1;
+            if newest.as_ref().is_none_or(|(s, _)| seq > *s) {
+                newest = Some((seq, slot));
             }
-            None => false,
         }
-    }
-
-    /// Folds harvested samples into the estimator, or sheds backoff when
-    /// the window advanced on retransmitted packets only.
-    fn settle_rtt(&mut self, newly_acked: usize, samples: &[Duration]) {
-        for s in samples {
-            self.rtt.sample(*s);
+        let sample = newest
+            .filter(|(_, slot)| !slot.retransmitted)
+            .map(|(_, slot)| now.duration_since(slot.sent_at).saturating_sub(hold));
+        match sample {
+            Some(s) => self.rtt.sample(s),
+            None if newly_acked > 0 => self.rtt.reset_backoff(),
+            None => {}
         }
-        if newly_acked > 0 && samples.is_empty() {
-            self.rtt.reset_backoff();
-        }
+        (newly_acked, sample)
     }
 
     /// Integrates a legacy cumulative acknowledgment: every packet with
     /// sequence number at most `cum_ack` has been received.
     pub fn on_cum_ack(&mut self, cum_ack: u64, now: Instant) -> AckEvent<P> {
         let acked: Vec<u64> = self.unacked.range(..=cum_ack).map(|(&s, _)| s).collect();
-        let mut samples = Vec::new();
-        let mut newly_acked = 0;
-        for seq in acked {
-            if self.ack_one(seq, now, &mut samples) {
-                newly_acked += 1;
-            }
-        }
-        self.settle_rtt(newly_acked, &samples);
+        let (newly_acked, sample) = self.ack_all(acked, Duration::ZERO, now);
         AckEvent {
             newly_acked,
-            samples,
+            sample,
             fast_retransmits: Vec::new(),
         }
     }
@@ -362,24 +383,32 @@ impl<P> SendWindow<P> {
     /// highest sacked sequence are holes; one reported by
     /// [`DUP_SACK_THRESHOLD`] successive SACKs is returned for fast
     /// retransmission (and marked retransmitted under Karn's rule).
-    pub fn on_sack(&mut self, ack_next: u64, sacked: &[u64], now: Instant) -> AckEvent<P>
+    ///
+    /// `hold` is the delay the receiver reported for this ack; it is
+    /// taken off the RTT sample (never below zero). An ack naming a
+    /// sequence number never transmitted is forged or stale and is
+    /// ignored whole.
+    pub fn on_sack(
+        &mut self,
+        ack_next: u64,
+        sacked: &[u64],
+        hold: Duration,
+        now: Instant,
+    ) -> AckEvent<P>
     where
         P: Clone,
     {
-        let cum: Vec<u64> = self.unacked.range(..ack_next).map(|(&s, _)| s).collect();
-        let mut samples = Vec::new();
-        let mut newly_acked = 0;
-        for seq in cum {
-            if self.ack_one(seq, now, &mut samples) {
-                newly_acked += 1;
-            }
+        let horizon = self.deferred.front().map_or(self.next_seq, |s| s.seq);
+        if ack_next > horizon || sacked.iter().any(|&s| s >= horizon) {
+            return AckEvent {
+                newly_acked: 0,
+                sample: None,
+                fast_retransmits: Vec::new(),
+            };
         }
-        for &seq in sacked {
-            if self.ack_one(seq, now, &mut samples) {
-                newly_acked += 1;
-            }
-        }
-        self.settle_rtt(newly_acked, &samples);
+        let mut acked: Vec<u64> = self.unacked.range(..ack_next).map(|(&s, _)| s).collect();
+        acked.extend_from_slice(sacked);
+        let (newly_acked, sample) = self.ack_all(acked, hold, now);
         let mut fast_retransmits = Vec::new();
         if let Some(&horizon) = sacked.iter().max() {
             for (&seq, slot) in self.unacked.range_mut(..horizon) {
@@ -394,7 +423,7 @@ impl<P> SendWindow<P> {
         }
         AckEvent {
             newly_acked,
-            samples,
+            sample,
             fast_retransmits,
         }
     }
@@ -434,13 +463,21 @@ pub struct RecvEvent {
 
 /// Receive half of the sliding-window ARQ for one peer: reorders
 /// out-of-order packets, drops duplicates, reassembles fragments into
-/// messages, and reports its state as cumulative-ack + SACK bitmap.
+/// messages, reports its state as cumulative-ack + SACK bitmap, and
+/// decides when that report is owed.
 #[derive(Debug, Default)]
 pub struct RecvWindow {
     expected: u64,
     /// Out-of-order packets: seq → (end-of-message, payload view).
     ooo: BTreeMap<u64, (bool, Bytes)>,
     assembling: Vec<u8>,
+    /// Packets accepted since the last acknowledgment left.
+    owed: u32,
+    /// When the owed acknowledgment must leave; `None` while none is.
+    ack_at: Option<Instant>,
+    /// Arrival of the newest accepted packet: the hold an ack reports is
+    /// measured from it, so it never exceeds any covered packet's wait.
+    last_arrival: Option<Instant>,
 }
 
 impl RecvWindow {
@@ -464,15 +501,20 @@ impl RecvWindow {
         !self.ooo.is_empty()
     }
 
-    /// Accepts one packet, returning whether it was new and any messages
-    /// it completed (in order).
-    pub fn insert(&mut self, seq: u64, eom: bool, payload: Bytes) -> RecvEvent {
+    /// Accepts one packet arriving at `now`, returning whether it was new
+    /// and any messages it completed (in order). Owes an acknowledgment:
+    /// due at once for a duplicate (our ack may have been lost), for a
+    /// packet that opens, sits beyond or fills a hole, and for a second
+    /// unacked packet; due after [`ACK_DELAY`] for a lone in-order one.
+    pub fn insert(&mut self, seq: u64, eom: bool, payload: Bytes, now: Instant) -> RecvEvent {
         if seq < self.expected || self.ooo.contains_key(&seq) {
+            self.owe_ack(now);
             return RecvEvent {
                 accepted: false,
                 completed: Vec::new(),
             };
         }
+        let had_holes = self.has_holes();
         self.ooo.insert(seq, (eom, payload));
         let mut completed = Vec::new();
         while let Some((eom, payload)) = self.ooo.remove(&self.expected) {
@@ -488,10 +530,36 @@ impl RecvWindow {
             }
             self.expected += 1;
         }
+        self.owed += 1;
+        self.last_arrival = Some(now);
+        let urgent = had_holes || self.has_holes() || self.owed >= 2;
+        self.owe_ack(if urgent { now } else { now + ACK_DELAY });
         RecvEvent {
             accepted: true,
             completed,
         }
+    }
+
+    fn owe_ack(&mut self, due: Instant) {
+        self.ack_at = Some(self.ack_at.map_or(due, |t| t.min(due)));
+    }
+
+    /// When the owed acknowledgment must be sent, or `None` when nothing
+    /// is owed. A deadline at or before now means "send it now".
+    #[must_use]
+    pub fn ack_deadline(&self) -> Option<Instant> {
+        self.ack_at
+    }
+
+    /// Records that an acknowledgment of the current state leaves now
+    /// (standalone or riding DATA), settling whatever was owed. Returns
+    /// the hold to report with it: how long ago the newest accepted
+    /// packet arrived.
+    pub fn take_ack(&mut self, now: Instant) -> Duration {
+        self.owed = 0;
+        self.ack_at = None;
+        self.last_arrival
+            .map_or(Duration::ZERO, |t| now.saturating_duration_since(t))
     }
 
     /// The window's state as a selective acknowledgment: `ack_next` plus
@@ -597,7 +665,7 @@ mod tests {
         // Acking one packet reopens the budget for exactly one more.
         let ev = w.on_cum_ack(0, t0 + Duration::from_millis(1));
         assert_eq!(ev.newly_acked, 1);
-        assert_eq!(ev.samples.len(), 1);
+        assert!(ev.sample.is_some());
         assert!(w.transmit_next(t0 + Duration::from_millis(1)).is_some());
         assert_eq!(w.transmittable_len(), None);
     }
@@ -627,12 +695,12 @@ mod tests {
         }
         // Seq 0 arrived, 1 was lost, 2..4 arrived out of order:
         // ack_next=1, sacked=[2,3,4].
-        let ev = w.on_sack(1, &[2, 3, 4], t0 + Duration::from_millis(1));
+        let ev = w.on_sack(1, &[2, 3, 4], Duration::ZERO, t0 + Duration::from_millis(1));
         assert_eq!(ev.newly_acked, 4);
         assert_eq!(w.unacked_len(), 1, "only the hole remains");
         assert!(ev.fast_retransmits.is_empty(), "first report is not enough");
         // Second SACK still reporting the hole triggers fast retransmit.
-        let ev = w.on_sack(1, &[2, 3, 4], t0 + Duration::from_millis(2));
+        let ev = w.on_sack(1, &[2, 3, 4], Duration::ZERO, t0 + Duration::from_millis(2));
         assert_eq!(ev.newly_acked, 0);
         assert_eq!(ev.fast_retransmits.len(), 1);
         assert_eq!(ev.fast_retransmits[0].0, 1);
@@ -653,40 +721,39 @@ mod tests {
         assert_eq!(retx.len(), 1);
         let ev = w.on_cum_ack(0, t0 + Duration::from_millis(25));
         assert_eq!(ev.newly_acked, 1);
-        assert!(
-            ev.samples.is_empty(),
-            "retransmitted packet must not sample"
-        );
+        assert!(ev.sample.is_none(), "retransmitted packet must not sample");
     }
 
     #[test]
     fn recv_window_reorders_and_reassembles() {
+        let t0 = Instant::now();
         let mut r = RecvWindow::new();
         // Fragments of one message arrive 1, 0, 2 (eom on 2).
-        let e = r.insert(1, false, Bytes::from_static(b"bb"));
+        let e = r.insert(1, false, Bytes::from_static(b"bb"), t0);
         assert!(e.accepted);
         assert!(e.completed.is_empty());
         assert_eq!(r.ack_next(), 0);
         assert!(r.has_holes());
-        let e = r.insert(0, false, Bytes::from_static(b"aa"));
+        let e = r.insert(0, false, Bytes::from_static(b"aa"), t0);
         assert!(e.completed.is_empty());
         assert_eq!(r.ack_next(), 2);
-        let e = r.insert(2, true, Bytes::from_static(b"cc"));
+        let e = r.insert(2, true, Bytes::from_static(b"cc"), t0);
         assert_eq!(e.completed.len(), 1);
         assert_eq!(&e.completed[0][..], b"aabbcc");
         assert_eq!(r.ack_next(), 3);
         // Duplicates and stale packets are rejected.
-        assert!(!r.insert(1, false, Bytes::new()).accepted);
+        assert!(!r.insert(1, false, Bytes::new(), t0).accepted);
     }
 
     #[test]
     fn recv_window_sack_bitmap_marks_ooo() {
+        let t0 = Instant::now();
         let mut r = RecvWindow::new();
-        r.insert(0, true, Bytes::from_static(b"m0"));
+        r.insert(0, true, Bytes::from_static(b"m0"), t0);
         // 1 missing; 2, 4, 10 parked out of order.
-        r.insert(2, true, Bytes::new());
-        r.insert(4, true, Bytes::new());
-        r.insert(10, true, Bytes::new());
+        r.insert(2, true, Bytes::new(), t0);
+        r.insert(4, true, Bytes::new(), t0);
+        r.insert(10, true, Bytes::new(), t0);
         let sack = r.sack();
         assert_eq!(sack.ack_next, 1);
         // Bits are relative to ack_next + 1 = 2: bits 0, 2, 8.
@@ -694,8 +761,80 @@ mod tests {
         assert!(!sack.is_set(1) && !sack.is_set(3));
         assert_eq!(sack.sacked_seqs(), vec![2, 4, 10]);
         // ack_next never retreats as the hole fills.
-        r.insert(1, true, Bytes::new());
+        r.insert(1, true, Bytes::new(), t0);
         assert_eq!(r.sack().ack_next, 3);
         assert_eq!(r.sack().sacked_seqs(), vec![4, 10]);
+    }
+
+    #[test]
+    fn lone_packet_ack_is_held_and_urgent_cases_are_not() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut r = RecvWindow::new();
+        assert_eq!(r.ack_deadline(), None, "nothing received, nothing owed");
+        // A lone in-order packet: owed for ACK_DELAY.
+        r.insert(0, true, Bytes::new(), t0);
+        assert_eq!(r.ack_deadline(), Some(t0 + ACK_DELAY));
+        // Riding reverse DATA settles it and reports the hold.
+        assert_eq!(r.take_ack(t0 + ms(1) / 2), ms(1) / 2);
+        assert_eq!(r.ack_deadline(), None);
+        // The second unacked packet makes the ack due at once.
+        r.insert(1, true, Bytes::new(), t0 + ms(2));
+        r.insert(2, true, Bytes::new(), t0 + ms(3));
+        assert_eq!(r.ack_deadline(), Some(t0 + ms(3)));
+        r.take_ack(t0 + ms(3));
+        // A duplicate: due at once, the earlier ack may have been lost.
+        r.insert(2, true, Bytes::new(), t0 + ms(4));
+        assert_eq!(r.ack_deadline(), Some(t0 + ms(4)));
+        r.take_ack(t0 + ms(4));
+        // Opening a hole and filling it are both due at once.
+        r.insert(4, true, Bytes::new(), t0 + ms(5));
+        assert_eq!(r.ack_deadline(), Some(t0 + ms(5)));
+        r.take_ack(t0 + ms(5));
+        r.insert(3, true, Bytes::new(), t0 + ms(6));
+        assert_eq!(r.ack_deadline(), Some(t0 + ms(6)));
+        // The hold is measured from the newest accepted packet.
+        assert_eq!(r.take_ack(t0 + ms(7)), ms(1));
+    }
+
+    #[test]
+    fn hold_is_taken_off_rtt_samples_never_below_zero() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut w: SendWindow<u8> = SendWindow::new(100, 1 << 20, ms(40));
+        for i in 0..2u8 {
+            w.stage(i, 100, false);
+            w.transmit_next(t0).unwrap();
+        }
+        let ev = w.on_sack(1, &[], ms(3), t0 + ms(4));
+        assert_eq!(ev.sample, Some(ms(1)), "4 ms round trip, 3 ms of it held");
+        // A hold longer than the round trip clamps the sample at zero,
+        // and the timeout stays at its floor.
+        let ev = w.on_sack(2, &[], ms(500), t0 + ms(5));
+        assert_eq!(ev.sample, Some(Duration::ZERO));
+        assert!(w.rtt.rto() >= MIN_RTO);
+    }
+
+    #[test]
+    fn ack_beyond_anything_transmitted_is_ignored() {
+        let t0 = Instant::now();
+        let mut w: SendWindow<u8> = SendWindow::new(100, 250, Duration::from_millis(40));
+        for i in 0..4u8 {
+            w.stage(i, 100, false);
+        }
+        // The byte budget admits two; seqs 2 and 3 stay staged.
+        assert!(w.transmit_next(t0).is_some());
+        assert!(w.transmit_next(t0).is_some());
+        assert_eq!(w.transmittable_len(), None);
+        for (ack_next, sacked) in [(3u64, &[][..]), (u64::MAX, &[][..]), (0, &[2u64][..])] {
+            let ev = w.on_sack(ack_next, sacked, Duration::ZERO, t0);
+            assert_eq!(
+                ev.newly_acked, 0,
+                "forged ack {ack_next} {sacked:?} acked packets"
+            );
+            assert_eq!(w.unacked_len(), 2);
+        }
+        // The real ack still works.
+        assert_eq!(w.on_sack(2, &[], Duration::ZERO, t0).newly_acked, 2);
     }
 }

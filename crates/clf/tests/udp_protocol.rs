@@ -1,17 +1,26 @@
 //! Packet-level tests of the reliable-UDP CLF protocol: out-of-order
 //! arrival, duplication, and interleaved fragments, injected from a raw
-//! socket speaking the wire format directly.
+//! socket speaking the wire format directly; hostile acknowledgment
+//! trailers; and the acknowledgment economy of piggybacked and held
+//! acks between two real endpoints.
 
 use std::net::UdpSocket;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, Weak};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use dstampede_clf::{ClfError, ClfTransport, UdpConfig, UdpEndpoint};
+use dstampede_clf::window::{ACK_DELAY, MIN_RTO};
+use dstampede_clf::{udp_mesh, ClfError, ClfHandler, ClfTransport, UdpConfig, UdpEndpoint};
 use dstampede_core::AsId;
+use dstampede_obs::MetricsRegistry;
 
 const MAGIC: u16 = 0xC1F0;
 const KIND_DATA: u8 = 0;
+const KIND_SACK: u8 = 2;
 const FLAG_EOM: u8 = 1;
+const FLAG_SACK: u8 = 2;
+const FLAG_ACK: u8 = 4;
+const FLAG_HOLD: u8 = 1;
 
 fn data_packet(src: AsId, seq: u64, eom: bool, payload: &[u8]) -> Vec<u8> {
     let mut pkt = Vec::new();
@@ -199,4 +208,313 @@ fn coalesced_adaptive_pipeline_survives_faults() {
     );
     a.shutdown();
     b.shutdown();
+}
+
+/// A SACK-capable DATA packet carrying `trailer` after the header, with
+/// the piggybacked-ack flag set.
+fn acked_data(src: AsId, seq: u64, trailer: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut pkt = data_packet(src, seq, true, &[]);
+    pkt[3] |= FLAG_SACK | FLAG_ACK;
+    pkt.extend_from_slice(trailer);
+    pkt.extend_from_slice(payload);
+    pkt
+}
+
+/// A well-formed ack trailer: `[u64 ack_next][u32 hold µs]`.
+fn trailer(ack_next: u64, hold_us: u32) -> Vec<u8> {
+    let mut t = ack_next.to_be_bytes().to_vec();
+    t.extend_from_slice(&hold_us.to_be_bytes());
+    t
+}
+
+/// Waits until `ep` holds no unacknowledged packet for `peer`; returns
+/// how long that took, or `None` past `limit`.
+fn idle_within(ep: &UdpEndpoint, peer: AsId, limit: Duration) -> Option<Duration> {
+    let t0 = Instant::now();
+    while t0.elapsed() < limit {
+        if ep.unacked_packets(peer) == 0 {
+            return Some(t0.elapsed());
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    None
+}
+
+/// A raw socket posing as SACK-capable peer `AsId(3)` of a fresh
+/// endpoint `AsId(7)` that has already sent it `n` messages.
+fn raw_peer_with_unacked(n: u8) -> (Arc<UdpEndpoint>, UdpSocket) {
+    let ep = UdpEndpoint::bind(
+        AsId(7),
+        UdpConfig {
+            rto: Duration::from_secs(30),
+            ..UdpConfig::default()
+        },
+    )
+    .unwrap();
+    let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+    ep.add_peer(AsId(3), raw.local_addr().unwrap());
+    for i in 0..n {
+        ep.send(AsId(3), Bytes::from(vec![i; 8])).unwrap();
+    }
+    assert_eq!(ep.unacked_packets(AsId(3)), usize::from(n));
+    (ep, raw)
+}
+
+#[test]
+fn truncated_or_garbage_ack_trailers_are_dropped() {
+    let (ep, raw) = raw_peer_with_unacked(1);
+    let dst = ep.local_addr();
+    let src = AsId(3);
+    // The ack flag with too few bytes for the trailer: dropped whole.
+    for cut in [0, 5, 11] {
+        let mut pkt = data_packet(src, 0, true, &[0xEE; 11][..cut]);
+        pkt[3] |= FLAG_SACK | FLAG_ACK;
+        raw.send_to(&pkt, dst).unwrap();
+    }
+    // A SACK announcing a hold it does not carry, and one whose body is
+    // garbage: dropped.
+    let mut sack = data_packet(src, 0, false, &[1, 2]);
+    sack[2] = KIND_SACK;
+    sack[3] = FLAG_HOLD;
+    raw.send_to(&sack, dst).unwrap();
+    let mut sack = data_packet(src, 0, false, &[0xFF; 40]);
+    sack[2] = KIND_SACK;
+    sack[3] = FLAG_HOLD;
+    raw.send_to(&sack, dst).unwrap();
+    assert_eq!(
+        ep.recv_timeout(Duration::from_millis(50)).unwrap_err(),
+        ClfError::Timeout,
+        "a truncated trailer must not deliver anything"
+    );
+    // A garbage trailer of the right length: its ack names nothing ever
+    // sent and is ignored; the payload after it is delivered intact.
+    raw.send_to(&acked_data(src, 0, &[0xFF; 12], b"intact"), dst)
+        .unwrap();
+    assert_eq!(&recv_msg(&ep).1[..], b"intact");
+    assert_eq!(ep.unacked_packets(src), 1, "garbage ack released a packet");
+    // The endpoint is unharmed: a real ack releases the packet.
+    raw.send_to(&acked_data(src, 1, &trailer(1, 0), b"next"), dst)
+        .unwrap();
+    assert_eq!(&recv_msg(&ep).1[..], b"next");
+    assert!(idle_within(&ep, src, Duration::from_secs(2)).is_some());
+    ep.shutdown();
+}
+
+#[test]
+fn ack_for_a_sequence_never_sent_is_ignored() {
+    let (ep, raw) = raw_peer_with_unacked(2);
+    let dst = ep.local_addr();
+    let src = AsId(3);
+    raw.send_to(&acked_data(src, 0, &trailer(1000, 0), b"forged"), dst)
+        .unwrap();
+    assert_eq!(&recv_msg(&ep).1[..], b"forged");
+    assert_eq!(
+        ep.unacked_packets(src),
+        2,
+        "an ack beyond seq 1 must be ignored"
+    );
+    raw.send_to(&acked_data(src, 1, &trailer(2, 0), b"real"), dst)
+        .unwrap();
+    assert_eq!(&recv_msg(&ep).1[..], b"real");
+    assert!(idle_within(&ep, src, Duration::from_secs(2)).is_some());
+    ep.shutdown();
+}
+
+#[test]
+fn hold_longer_than_the_round_trip_keeps_the_rto_floor() {
+    let ep = UdpEndpoint::bind(AsId(7), UdpConfig::default()).unwrap();
+    let reg = MetricsRegistry::new("test");
+    ep.bind_metrics(&reg);
+    let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let src = AsId(3);
+    ep.add_peer(src, raw.local_addr().unwrap());
+    ep.send(src, Bytes::from_static(b"m0")).unwrap();
+    let mut buf = [0u8; 2048];
+    raw.recv_from(&mut buf).expect("m0");
+    // Ack it claiming a hold of ~71 minutes.
+    raw.send_to(
+        &acked_data(src, 0, &trailer(1, u32::MAX), b"ack"),
+        ep.local_addr(),
+    )
+    .unwrap();
+    assert_eq!(&recv_msg(&ep).1[..], b"ack");
+    assert!(idle_within(&ep, src, Duration::from_secs(2)).is_some());
+    let snap = reg.snapshot();
+    let rtt = snap.histogram("clf", "rtt_us").expect("rtt series");
+    assert_eq!((rtt.count, rtt.sum), (1, 0), "the sample clamps at zero");
+    // The timeout derived from that sample stays at its floor: an
+    // unanswered packet is not retransmitted sooner than MIN_RTO.
+    ep.send(src, Bytes::from_static(b"m1")).unwrap();
+    let sent = Instant::now();
+    let mut copies = 0;
+    while copies < 2 {
+        let (n, _) = raw.recv_from(&mut buf).expect("retransmission");
+        if n > 14 && buf[2] == KIND_DATA {
+            copies += 1;
+        }
+    }
+    assert!(
+        sent.elapsed() >= MIN_RTO,
+        "retransmitted after {:?}, under MIN_RTO",
+        sent.elapsed()
+    );
+    ep.shutdown();
+}
+
+/// Serializes the tests that time acks, so they do not share the CPU
+/// with each other.
+static TIMING: Mutex<()> = Mutex::new(());
+
+fn timing() -> std::sync::MutexGuard<'static, ()> {
+    TIMING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Answers every message inline, from the receive thread, until
+/// `limit` replies have gone out.
+struct Echo {
+    ep: Mutex<Weak<UdpEndpoint>>,
+    replies: Mutex<u32>,
+    limit: u32,
+}
+
+impl ClfHandler for Echo {
+    fn on_message(&self, from: AsId, msg: Bytes) {
+        let mut n = self.replies.lock().unwrap();
+        if *n < self.limit {
+            *n += 1;
+            if let Some(ep) = self.ep.lock().unwrap().upgrade() {
+                ep.send(from, msg).unwrap();
+            }
+        }
+    }
+}
+
+fn echo(ep: &Arc<UdpEndpoint>, limit: u32) -> Arc<Echo> {
+    let h = Arc::new(Echo {
+        ep: Mutex::new(Arc::downgrade(ep)),
+        replies: Mutex::new(0),
+        limit,
+    });
+    ep.set_handler(h.clone());
+    h
+}
+
+fn registries(a: &UdpEndpoint, b: &UdpEndpoint) -> (MetricsRegistry, MetricsRegistry) {
+    let (ra, rb) = (MetricsRegistry::new("a"), MetricsRegistry::new("b"));
+    a.bind_metrics(&ra);
+    b.bind_metrics(&rb);
+    (ra, rb)
+}
+
+fn counter(reg: &MetricsRegistry, name: &str) -> u64 {
+    reg.snapshot().counter_value("clf", name).unwrap_or(0)
+}
+
+#[test]
+fn ping_pong_acks_ride_the_replies() {
+    let _serial = timing();
+    let mut mesh = udp_mesh(2, UdpConfig::default()).unwrap();
+    let b = mesh.pop().unwrap();
+    let a = mesh.pop().unwrap();
+    let (ra, rb) = registries(&a, &b);
+    // Both sides answer inline: 200 round trips, each message's ack
+    // riding the message that answers it.
+    const N: u32 = 200;
+    let _b_echo = echo(&b, N);
+    let a_echo = echo(&a, N - 1);
+    a.send(AsId(1), Bytes::from_static(b"ping")).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while *a_echo.replies.lock().unwrap() < N - 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(*a_echo.replies.lock().unwrap(), N - 1, "ping-pong stalled");
+    for (ep, peer) in [(&a, AsId(1)), (&b, AsId(0))] {
+        assert!(
+            idle_within(ep, peer, Duration::from_secs(2)).is_some(),
+            "{:?} never went idle",
+            ep.local()
+        );
+    }
+    for (side, reg) in [("a", &ra), ("b", &rb)] {
+        let standalone = counter(reg, "sack_frames_sent");
+        let piggybacked = counter(reg, "acks_piggybacked");
+        assert!(
+            standalone <= 20,
+            "{side}: {standalone} standalone SACKs for {N} messages"
+        );
+        assert!(
+            piggybacked >= u64::from(N) - 20,
+            "{side}: {piggybacked} piggybacked"
+        );
+    }
+    a.shutdown();
+    b.shutdown();
+}
+
+#[test]
+fn lone_message_is_acked_within_ack_delay() {
+    let _serial = timing();
+    let config = UdpConfig {
+        rto: Duration::from_millis(300),
+        ..UdpConfig::default()
+    };
+    let mut mesh = udp_mesh(2, config).unwrap();
+    let b = mesh.pop().unwrap();
+    let a = mesh.pop().unwrap();
+    let (_ra, rb) = registries(&a, &b);
+    let slack = Duration::from_millis(50);
+    for i in 0..5u8 {
+        a.send(AsId(1), Bytes::from(vec![i; 16])).unwrap();
+        let took = idle_within(&a, AsId(1), Duration::from_secs(2)).expect("never acked");
+        assert!(
+            took <= ACK_DELAY + slack,
+            "lone message acked after {took:?}"
+        );
+        assert_eq!(recv_msg(&b).1[0], i);
+    }
+    assert_eq!(
+        counter(&rb, "sack_frames_sent"),
+        5,
+        "one standalone ack each"
+    );
+    assert_eq!(a.stats().retransmits, 0);
+    a.shutdown();
+    b.shutdown();
+}
+
+#[test]
+fn held_acks_do_not_inflate_the_rtt_estimate() {
+    let _serial = timing();
+    let mut mesh = udp_mesh(2, UdpConfig::default()).unwrap();
+    let b = mesh.pop().unwrap();
+    let a = mesh.pop().unwrap();
+    let (ra, _rb) = registries(&a, &b);
+    // Stop and wait, no replies: every ack is held its full ACK_DELAY.
+    for i in 0..30u8 {
+        a.send(AsId(1), Bytes::from(vec![i; 16])).unwrap();
+        assert!(idle_within(&a, AsId(1), Duration::from_secs(2)).is_some());
+        recv_msg(&b);
+    }
+    // Uncorrected, every sample would exceed ACK_DELAY. The median is
+    // robust to a scheduling outlier; the smoothed estimate less so.
+    let snap = ra.snapshot();
+    let p50 = snap
+        .histogram("clf", "rtt_us")
+        .expect("rtt series")
+        .quantile(0.5);
+    let srtt_us = reg_gauge(&ra, "srtt_us");
+    assert!(
+        Duration::from_micros(p50) < ACK_DELAY / 2 && Duration::from_micros(srtt_us) < ACK_DELAY,
+        "rtt p50 {p50} µs, srtt {srtt_us} µs count the held {ACK_DELAY:?}"
+    );
+    a.shutdown();
+    b.shutdown();
+}
+
+fn reg_gauge(reg: &MetricsRegistry, name: &str) -> u64 {
+    let v = reg.snapshot().gauge_value("clf", name).expect("gauge");
+    u64::try_from(v).expect("non-negative gauge")
 }

@@ -21,11 +21,16 @@
 //! 4. **Quiescence**: once the faults stop, the protocol drains — every
 //!    message is delivered within a bounded number of steps, and the
 //!    sender's window empties (nothing wedges).
+//! 5. **Held acks stay bounded**: the receiver owes an ack for at most
+//!    [`ACK_DELAY`] after a packet arrives, whether the ack then leaves
+//!    standalone or rides (simulated) reverse DATA; and on a clean link
+//!    (no loss, duplication or reordering) the sender never
+//!    fast-retransmits or times out.
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use dstampede_clf::window::{RecvWindow, SendWindow};
+use dstampede_clf::window::{RecvWindow, SendWindow, ACK_DELAY};
 use dstampede_clf::{FaultPlan, FaultVerdict};
 use dstampede_core::AsId;
 use proptest::prelude::*;
@@ -41,9 +46,18 @@ struct Pkt {
 /// A packet in flight on the simulated link.
 #[derive(Debug)]
 enum Frame {
-    Data { seq: u64, pkt: Pkt },
-    Sack { ack_next: u64, sacked: Vec<u64> },
-    CumAck { cum: u64 },
+    Data {
+        seq: u64,
+        pkt: Pkt,
+    },
+    Sack {
+        ack_next: u64,
+        sacked: Vec<u64>,
+        hold: Duration,
+    },
+    CumAck {
+        cum: u64,
+    },
 }
 
 /// Deterministic generator for link-order decisions (the FaultPlan has
@@ -60,10 +74,13 @@ impl Lcg {
     }
 
     /// Pops a pseudo-randomly chosen element — the link delivers in
-    /// arbitrary order.
-    fn pop<T>(&mut self, v: &mut Vec<T>) -> Option<T> {
+    /// arbitrary order — or, on a `fifo` link, the oldest.
+    fn pop<T>(&mut self, v: &mut Vec<T>, fifo: bool) -> Option<T> {
         if v.is_empty() {
             return None;
+        }
+        if fifo {
+            return Some(v.remove(0));
         }
         let i = (self.next() as usize) % v.len();
         Some(v.swap_remove(i))
@@ -87,6 +104,14 @@ struct Scenario {
     /// long it lasts. Zero length disables it.
     partition_at: usize,
     partition_len: usize,
+    /// Virtual time per step, so a held ack spans zero, one or several
+    /// steps.
+    step_us: u64,
+    /// Per-mille chance per step that the receiver sends reverse DATA,
+    /// which carries its cumulative ack (when it has no holes).
+    piggyback_permille: u64,
+    /// Whether the link keeps order (otherwise it reorders freely).
+    fifo: bool,
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
@@ -105,11 +130,13 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             0usize..400,
             prop_oneof![Just(0usize), 10usize..120],
         ),
+        (100u64..2500, 0u64..1000, any::<bool>()),
     )
         .prop_map(
             |(
                 (seed, msg_lens, frag, max_packets, max_bytes),
                 (drop_permille, dup_every, sack_mode, partition_at, partition_len),
+                (step_us, piggyback_permille, fifo),
             )| Scenario {
                 seed,
                 msg_lens,
@@ -121,6 +148,9 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                 sack_mode,
                 partition_at,
                 partition_len,
+                step_us,
+                piggyback_permille,
+                fifo,
             },
         )
 }
@@ -185,6 +215,8 @@ fn run(s: &Scenario) {
     let mut delivered: Vec<Bytes> = Vec::new();
     let mut last_ack_next = 0u64;
     let mut partitioned = false;
+    let clean = s.drop_permille == 0 && s.dup_every == 0 && s.partition_len == 0 && s.fifo;
+    let step = Duration::from_micros(s.step_us);
 
     let mut steps = 0usize;
     let max_steps = 200_000usize;
@@ -202,7 +234,7 @@ fn run(s: &Scenario) {
             data_link.len(),
             ack_link.len()
         );
-        elapsed += Duration::from_millis(1);
+        elapsed += step;
 
         // Partition window: everything on the wire in either direction
         // is lost while it lasts; the protocol must pick up after heal.
@@ -242,18 +274,26 @@ fn run(s: &Scenario) {
             });
         }
 
-        // 2. Link → receiver, in seeded random order; acknowledge once
-        //    per burst like the real pump.
+        // 2. Link → receiver, in seeded random order; acknowledge like
+        //    the real pump: legacy receivers once per burst, SACK
+        //    receivers when the window says the ack is due, or earlier
+        //    on reverse DATA.
         let burst = 1 + (rng.next() as usize) % 4;
         let mut got_data = false;
         for _ in 0..burst {
-            let Some(frame) = rng.pop(&mut data_link) else {
+            let Some(frame) = rng.pop(&mut data_link, s.fifo) else {
                 break;
             };
             let Frame::Data { seq, pkt } = frame else {
                 unreachable!("data link carries DATA only")
             };
-            let ev = recv.insert(seq, pkt.eom, pkt.payload);
+            let ev = recv.insert(seq, pkt.eom, pkt.payload, now(elapsed));
+            if let Some(due) = recv.ack_deadline() {
+                assert!(
+                    due <= now(elapsed) + ACK_DELAY,
+                    "ack held past ACK_DELAY ({s:?})"
+                );
+            }
             got_data = true;
             for msg in ev.completed {
                 assert!(
@@ -276,36 +316,49 @@ fn run(s: &Scenario) {
             );
             last_ack_next = recv.ack_next();
         }
-        if got_data {
-            if s.sack_mode {
+        if s.sack_mode {
+            let piggyback = !recv.has_holes()
+                && recv.ack_next() > 0
+                && rng.next() % 1000 < s.piggyback_permille;
+            let due = recv.ack_deadline().is_some_and(|d| d <= now(elapsed));
+            if piggyback || due {
+                // A piggybacked ack is the cumulative part alone.
                 let info = recv.sack();
-                let sacked = info.sacked_seqs();
-                offer(
-                    &plan,
-                    &mut ack_link,
-                    Frame::Sack {
-                        ack_next: info.ack_next,
-                        sacked: sacked.clone(),
-                    },
-                    || Frame::Sack {
-                        ack_next: info.ack_next,
-                        sacked: sacked.clone(),
-                    },
-                );
-            } else if recv.ack_next() > 0 {
-                let cum = recv.ack_next() - 1;
-                offer(&plan, &mut ack_link, Frame::CumAck { cum }, || {
-                    Frame::CumAck { cum }
-                });
+                let sacked = if piggyback {
+                    Vec::new()
+                } else {
+                    info.sacked_seqs()
+                };
+                let hold = recv.take_ack(now(elapsed));
+                let frame = || Frame::Sack {
+                    ack_next: info.ack_next,
+                    sacked: sacked.clone(),
+                    hold,
+                };
+                offer(&plan, &mut ack_link, frame(), frame);
             }
+        } else if got_data && recv.ack_next() > 0 {
+            recv.take_ack(now(elapsed));
+            let cum = recv.ack_next() - 1;
+            offer(&plan, &mut ack_link, Frame::CumAck { cum }, || {
+                Frame::CumAck { cum }
+            });
         }
 
         // 3. Link → sender: integrate acknowledgments; fast
         //    retransmissions must cover genuine holes only.
-        while let Some(frame) = rng.pop(&mut ack_link) {
+        while let Some(frame) = rng.pop(&mut ack_link, s.fifo) {
             match frame {
-                Frame::Sack { ack_next, sacked } => {
-                    let ev = send.on_sack(ack_next, &sacked, now(elapsed));
+                Frame::Sack {
+                    ack_next,
+                    sacked,
+                    hold,
+                } => {
+                    let ev = send.on_sack(ack_next, &sacked, hold, now(elapsed));
+                    assert!(
+                        !clean || ev.fast_retransmits.is_empty(),
+                        "clean link fast-retransmitted ({s:?})"
+                    );
                     for (seq, pkt) in ev.fast_retransmits {
                         assert!(
                             seq >= ack_next && !sacked.contains(&seq),
@@ -329,13 +382,23 @@ fn run(s: &Scenario) {
         }
 
         // 4. When the schedule is stuck (nothing in flight, sender not
-        //    idle), jump the clock past the timeout — exactly what real
+        //    idle), jump the clock to the next timer — the receiver's
+        //    held ack, else the sender's timeout — exactly what real
         //    time would do, without waiting for it.
         if data_link.is_empty() && ack_link.is_empty() && !send.is_idle() {
+            if let Some(due) = recv.ack_deadline() {
+                elapsed = elapsed.max(due - t0);
+                continue;
+            }
             if send.unacked_len() > 0 {
                 elapsed += send.rtt.rto();
             }
-            for (seq, pkt) in send.scan_retransmits(now(elapsed)) {
+            let retransmits = send.scan_retransmits(now(elapsed));
+            assert!(
+                !clean || retransmits.is_empty(),
+                "clean link timed out ({s:?})"
+            );
+            for (seq, pkt) in retransmits {
                 let dup = pkt.clone();
                 offer(&plan, &mut data_link, Frame::Data { seq, pkt }, move || {
                     Frame::Data {
@@ -383,24 +446,39 @@ fn heavy_loss_partition_both_modes() {
             sack_mode,
             partition_at: 50,
             partition_len: 100,
+            step_us: 1000,
+            piggyback_permille: 300,
+            fifo: false,
         });
     }
 }
 
 /// A clean link is the degenerate schedule: everything delivers in one
-/// pass with no retransmissions and no time jumps beyond the first.
+/// pass, and acks held up to `ACK_DELAY` — at step sizes below, at and
+/// above it, with and without reverse DATA, for a full window and for
+/// stop-and-wait (every packet's ack held) — never make the sender
+/// fast-retransmit or time out.
 #[test]
 fn clean_link_delivers_first_pass() {
-    run(&Scenario {
-        seed: 1,
-        msg_lens: vec![100, 0, 599, 32],
-        frag: 128,
-        max_packets: 32,
-        max_bytes: 4096,
-        drop_permille: 0,
-        dup_every: 0,
-        sack_mode: true,
-        partition_at: 0,
-        partition_len: 0,
-    });
+    for step_us in [100, 1000, 2500] {
+        for piggyback_permille in [0, 500] {
+            for max_packets in [1, 32] {
+                run(&Scenario {
+                    seed: 1,
+                    msg_lens: vec![100, 0, 599, 32, 1, 1, 1],
+                    frag: 128,
+                    max_packets,
+                    max_bytes: 4096,
+                    drop_permille: 0,
+                    dup_every: 0,
+                    sack_mode: true,
+                    partition_at: 0,
+                    partition_len: 0,
+                    step_us,
+                    piggyback_permille,
+                    fifo: true,
+                });
+            }
+        }
+    }
 }

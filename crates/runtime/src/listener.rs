@@ -190,7 +190,6 @@ impl Listener {
         config: ListenerConfig,
     ) -> std::io::Result<Arc<Listener>> {
         let tcp = TcpListener::bind("127.0.0.1:0")?;
-        tcp.set_nonblocking(true)?;
         let addr = tcp.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ListenerCounters::default());
@@ -359,7 +358,11 @@ impl Listener {
 
     /// Stops accepting new sessions (existing surrogates run on).
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        if !self.stop.swap(true, Ordering::AcqRel) {
+            // Poke the blocked accept (thread or reactor task) so it
+            // observes `stop` and exits.
+            let _ = std::net::TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        }
         if let Some(h) = self.accept_thread.lock().take() {
             let _ = h.join();
         }
@@ -367,8 +370,6 @@ impl Listener {
             p.cancel();
         }
         if self.reactor_mode {
-            // Poke the parked accept task so it observes `stop` and exits.
-            let _ = std::net::TcpStream::connect(self.addr);
             // Close every live session socket: once the executor stops,
             // frozen surrogate tasks can never answer again, so clients
             // (including connection-handle drops sending `Disconnect`)
@@ -405,8 +406,14 @@ fn accept_loop(
 ) {
     let metrics = Arc::new(SessionMetrics::for_space(space));
     let mut next_session: u64 = 1;
-    while !stop.load(Ordering::Acquire) {
-        match tcp.accept() {
+    // Blocks in `accept`; `Listener::shutdown` wakes it with a connection
+    // of its own after raising `stop`.
+    loop {
+        let accepted = tcp.accept();
+        if stop.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let at_capacity = config
                     .max_sessions
@@ -452,9 +459,6 @@ fn accept_loop(
                     counters.active.fetch_sub(1, Ordering::Relaxed);
                     metrics.active.dec();
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => break,
         }
@@ -1039,6 +1043,57 @@ mod tests {
         s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
         assert_eq!(s.read(&mut buf).unwrap_or(0), 0);
         listener.shutdown();
+        space.shutdown();
+    }
+
+    /// Context switches so far of this process's thread named `name`.
+    #[cfg(target_os = "linux")]
+    fn switches_of(name: &str) -> Option<u64> {
+        let task = std::fs::read_dir("/proc/self/task")
+            .ok()?
+            .filter_map(Result::ok)
+            .find(|t| {
+                std::fs::read_to_string(t.path().join("comm")).is_ok_and(|c| c.trim() == name)
+            })?;
+        let status = std::fs::read_to_string(task.path().join("status")).ok()?;
+        Some(
+            status
+                .lines()
+                .filter(|l| l.contains("ctxt_switches:"))
+                .filter_map(|l| l.split_whitespace().last()?.parse::<u64>().ok())
+                .sum(),
+        )
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn idle_listener_sleeps_in_accept_and_shuts_down_promptly() {
+        let fabric = MemFabric::new();
+        let space = AddressSpace::start(fabric.endpoint(AsId(61)), true);
+        let listener = Listener::start(Arc::clone(&space)).unwrap();
+        let name = "as-61-listener";
+        // A session still attaches while the thread blocks in accept.
+        let codec = codec_for(CodecId::Xdr);
+        let mut s = attach_raw(listener.addr(), CodecId::Xdr);
+        let reply = roundtrip(&mut s, codec.as_ref(), 1, Request::Ping { nonce: 9 });
+        assert_eq!(reply.reply, Reply::Pong { nonce: 9 });
+        drop(s);
+        std::thread::sleep(Duration::from_millis(20));
+        let before = switches_of(name).expect("listener thread");
+        std::thread::sleep(Duration::from_millis(300));
+        let after = switches_of(name).expect("listener thread");
+        assert_eq!(before, after, "the idle accept thread woke up");
+        let t0 = std::time::Instant::now();
+        listener.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "shutdown took {:?}",
+            t0.elapsed()
+        );
+        assert!(
+            switches_of(name).is_none(),
+            "accept thread outlived shutdown"
+        );
         space.shutdown();
     }
 }
